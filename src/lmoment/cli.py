@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -182,6 +183,7 @@ def _dyadic_trend(reports) -> list:
 
 
 def _cmd_scan(args):
+    _require(args.qmin <= args.qmax, "--qmin must not exceed --qmax")
     f = _load_system(args)
     reports = prime_scan(f, args.qmin, args.qmax, workers=args.workers)
     outputs = {
@@ -199,6 +201,7 @@ def _cmd_scan(args):
 
 
 def _cmd_voronoi(args):
+    _require(args.N >= 1, "--N must be >= 1")
     f = _load_system(args)
     chk = voronoi_check(f, args.d, build_modulus(args.q), args.N,
                         default_bump())
@@ -323,6 +326,12 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
         _require(args.workers >= 1, "--workers must be >= 1")
         _require(args.tol is None or args.tol > 0, "--tol must be positive")
+        if args.out:
+            out_dir = os.path.dirname(os.path.abspath(args.out))
+            _require(os.path.isdir(out_dir),
+                     f"--out directory {out_dir} does not exist")
+            _require(not os.path.isdir(args.out),
+                     f"--out {args.out} is a directory")
         t0 = time.time()
         inputs, outputs, certs = _COMMANDS[args.command](args)
         elapsed_ms = 1000.0 * (time.time() - t0)
@@ -357,7 +366,7 @@ def run(argv=None) -> int:
     except errors.NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

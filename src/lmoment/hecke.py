@@ -18,8 +18,7 @@ import numpy as np
 from .characters import primes_up_to
 from .errors import (BoundViolation, FormatError, GapError, InsufficientData,
                      NonConvergence)
-from .weights import DEFAULT_V1, WeightSpec, v1_many, _batch_line, \
-    complex_loggamma, SQRT_PI
+from .weights import v1_many
 
 THETA = 7.0 / 64.0
 
@@ -220,12 +219,15 @@ def coefficients_upto(f: HeckeSystem, N: int) -> np.ndarray:
 
 
 def average_bound_report(f: HeckeSystem, x_grid) -> dict:
-    """First and second absolute moments of lambda up to each x in x_grid.
+    """First and second absolute moments of lambda over n <= x, for each x
+    in x_grid.
 
     Rankin-Selberg theory makes both ratios O(1); the report flags any ratio
     above 10 as anomalous.
     """
     x_grid = [int(x) for x in x_grid]
+    if min(x_grid) < 1:
+        raise ValueError("grid points must be >= 1")
     arr = coefficients_upto(f, max(x_grid))
     a1 = np.concatenate([[0.0], np.cumsum(np.abs(arr[1:]))])
     a2 = np.concatenate([[0.0], np.cumsum(arr[1:] ** 2)])
@@ -233,8 +235,8 @@ def average_bound_report(f: HeckeSystem, x_grid) -> dict:
     for x in x_grid:
         rows.append({
             "x": x,
-            "mean_abs": float(a1[x - 1] / x) if x > 1 else 0.0,
-            "mean_square": float(a2[x - 1] / x) if x > 1 else 0.0,
+            "mean_abs": float(a1[x] / x),
+            "mean_square": float(a2[x] / x),
         })
     worst = max(max(r["mean_abs"], r["mean_square"]) for r in rows)
     return {"rows": rows, "max_ratio": worst, "flagged": worst > 10.0}
@@ -250,17 +252,6 @@ def additive_twist(f: HeckeSystem, alpha: float, N: int) -> complex:
 # ---------------------------------------------------------------------------
 # L(1, f) by smoothed truncation with independent cutoffs
 
-def _gauss_cutoff(xs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """exp(-pi x^2) realized by the vertical-line machinery (kernel
-    Gamma(s/2)/2), cross-checkable against the closed form."""
-
-    def kernel(s):
-        return np.exp(complex_loggamma(s / 2)) / 2.0
-
-    out, _ = _batch_line(SQRT_PI, xs, 1.0, 60.0, tol, kernel, min_panels=16)
-    return out.real
-
-
 def _smoothed_sum(f: HeckeSystem, X: float, cutoff: str) -> float:
     """Sum of lambda(n)/n * W(n/X) with W either the V1 weight or the
     Gaussian; truncated where W is below 1e-16."""
@@ -269,9 +260,9 @@ def _smoothed_sum(f: HeckeSystem, X: float, cutoff: str) -> float:
     n = np.arange(1, N + 1)
     x = n / X
     if cutoff == "v1":
-        w = v1_many(x, WeightSpec(kind="V1", c=1.0, tol=1e-12))
+        w = v1_many(x)
     elif cutoff == "gauss":
-        w = _gauss_cutoff(x)
+        w = np.exp(-math.pi * x * x)
     else:
         raise ValueError(f"unknown cutoff {cutoff!r}")
     return float(np.sum(arr[1:] / n * w))

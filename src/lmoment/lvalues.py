@@ -21,8 +21,9 @@ from .errors import (InsufficientData, OddCharacter, PoleError,
                      PrincipalCharacter)
 from .expsums import gauss_sum
 from .hecke import HeckeSystem
-from .weights import (WeightSpec, default_v2_spec, v1_bound, v1_many,
-                      v2_bound, v2_decay_ladder, v2_many)
+from .weights import WeightSpec  # noqa: F401  (re-exported for spec users)
+from .weights import (v1_bound, v1_many, v2_decay_ladder, v2_many,
+                      v2_table_delta)
 
 HURWITZ_TOL = 1e-12
 
@@ -139,7 +140,7 @@ def dirichlet_central_afe(chi: DirichletCharacter,
     q = chi.q
     M = cutoff if cutoff is not None else afe1_cutoff(q)
     m = np.arange(1, M + 1)
-    w = v1_many(m / math.sqrt(q), WeightSpec(kind="V1", c=1.0, tol=1e-12))
+    w = v1_many(m / math.sqrt(q))
     coef = w / np.sqrt(m)
     vals = chi.values(m)
     s_conj = complex(np.sum(np.conj(vals) * coef))
@@ -173,12 +174,18 @@ def _v2_tail_certificate(N: int, q: int, T_f: float) -> float:
 
 def afe2_err_estimate(f: HeckeSystem, q: int, N: int,
                       abs_coef: np.ndarray) -> float:
-    """Certified error of either (afe2) branch pair: decay-ladder tail plus
-    weight-quadrature and coefficient-data contributions; abs_coef is the
-    array |lambda(n) V2(n/q)| / sqrt(n) over the kept range."""
+    """Error of either (afe2) branch pair: decay-ladder tail plus weight and
+    coefficient-data contributions; abs_coef is the array
+    |lambda(n) V2(n/q)| / sqrt(n) over the kept range.
+
+    The per-point V2 error is the contour tolerance 1e-10 plus delta, the
+    largest deviation of the V2 table from the contour engine.  delta is an
+    a-posteriori check, measured at off-node points of each table piece that
+    meets [1/q, N/q], not a proven bound."""
     n = np.arange(1, N + 1)
     tail = 2.0 * _v2_tail_certificate(N, q, f.T_f)
-    quad = 2.0 * 1e-10 * float(np.sum(2.0 * n ** 0.11 / np.sqrt(n)))
+    per_point = 1e-10 + v2_table_delta(f.T_f, 1.0 / q, N / q)
+    quad = 2.0 * per_point * float(np.sum(2.0 * n ** 0.11 / np.sqrt(n)))
     return tail + quad + 2.0 * f.data_precision * float(np.sum(abs_coef))
 
 

@@ -10,6 +10,7 @@ costs two FFTs plus the weight evaluations, not O(q) separate series.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,10 +21,53 @@ from .characters import (PrimeModulus, build_modulus, even_primitive_indices,
 from .errors import InsufficientData, ModulusTooSmall
 from .expsums import gauss_sums_all
 from .hecke import HeckeSystem, l_one
-from .lvalues import (WeightSpec, afe1_cutoff, afe1_err_estimate, afe2_cutoff,
+from .lvalues import (afe1_cutoff, afe1_err_estimate, afe2_cutoff,
                       afe2_err_estimate, hurwitz_zeta, v1_many, v2_many)
 
 CROSS_KEYS = ("S1S3", "S1S4", "S2S3", "S2S4")
+
+
+class Witnesses(Sequence):
+    """Nonvanishing witnesses (k, |L(1/2, f x chi_k)|, |L(1/2, chi_k)|),
+    held as three arrays (20 bytes a witness) and read like a list of
+    tuples; equality compares values."""
+
+    __slots__ = ("k", "twist_mag", "dirichlet_mag")
+
+    def __init__(self, k, twist_mag, dirichlet_mag):
+        self.k = np.asarray(k, dtype=np.int32)
+        self.twist_mag = np.asarray(twist_mag, dtype=float)
+        self.dirichlet_mag = np.asarray(dirichlet_mag, dtype=float)
+
+    def __len__(self) -> int:
+        return self.k.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Witnesses(self.k[i], self.twist_mag[i], self.dirichlet_mag[i])
+        return (int(self.k[i]), float(self.twist_mag[i]),
+                float(self.dirichlet_mag[i]))
+
+    def __iter__(self):
+        return zip(self.k.tolist(), self.twist_mag.tolist(),
+                   self.dirichlet_mag.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Witnesses):
+            return (np.array_equal(self.k, other.k)
+                    and np.array_equal(self.twist_mag, other.twist_mag)
+                    and np.array_equal(self.dirichlet_mag, other.dirichlet_mag))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return Witnesses, (self.k, self.twist_mag, self.dirichlet_mag)
+
+    def __repr__(self) -> str:
+        return f"Witnesses({list(self)!r})"
 
 
 @dataclass
@@ -35,7 +79,7 @@ class MomentReport:
     main_term: float
     ratio: float
     cross_terms: dict[str, complex]
-    witnesses: list[tuple[int, float, float]]
+    witnesses: Witnesses
     n_characters: int
     l_one_value: float
     cutoffs: dict[str, int] = field(default_factory=dict)
@@ -87,7 +131,7 @@ def _family_tables(f: HeckeSystem, mod: PrimeModulus) -> _FamilyTables:
             f"modulus {q} needs coefficients to {N}, reach is {f.P_max}")
 
     m = np.arange(1, M + 1)
-    w1 = v1_many(m / math.sqrt(q), WeightSpec(kind="V1", c=1.0, tol=1e-12))
+    w1 = v1_many(m / math.sqrt(q))
     c1 = w1 / np.sqrt(m)
     r = m % q
     keep = r != 0
@@ -107,9 +151,9 @@ def _family_tables(f: HeckeSystem, mod: PrimeModulus) -> _FamilyTables:
         err_dirichlet=afe1_err_estimate(q, M))
 
 
-def _branches(tab: _FamilyTables, q: int, k: int):
-    """(S1, S2, S3, S4) for chi_k: S1+S2 = L(1/2, f x chi),
-    S3+S4 = L(1/2, conj chi)."""
+def _branches(tab: _FamilyTables, q: int, k: np.ndarray):
+    """(S1, S2, S3, S4) for every chi_k, k in the array k:
+    S1+S2 = L(1/2, f x chi), S3+S4 = L(1/2, conj chi)."""
     km = (q - 1 - k) % (q - 1)
     s1 = tab.A[k]
     s2 = (tab.tau[k] ** 2 / q) * tab.A[km]
@@ -147,33 +191,30 @@ def twisted_moment(f: HeckeSystem, mod: PrimeModulus,
         raise ValueError(f"unknown dirichlet_method {dirichlet_method!r}")
 
     ks = even_primitive_indices(mod)
-    moment = 0.0 + 0.0j
-    cross = {key: 0.0 + 0.0j for key in CROSS_KEYS}
-    witnesses = []
-    for k in ks:
-        k = int(k)
-        s1, s2, s3, s4 = _branches(tab, q, k)
-        if oracle is not None:
-            # L(1/2, conj chi_k) = oracle value at index q-1-k
-            dir_val = oracle[(q - 1 - k) % (q - 1)]
-            moment += (s1 + s2) * dir_val
-        else:
-            moment += (s1 + s2) * (s3 + s4)
-        cross["S1S3"] += s1 * s3
-        cross["S1S4"] += s1 * s4
-        cross["S2S3"] += s2 * s3
-        cross["S2S4"] += s2 * s4
-        tmag = abs(s1 + s2)
-        dmag = abs(s3 + s4)
-        if (tmag > witness_threshold + tab.err_twist
-                and dmag > witness_threshold + tab.err_dirichlet):
-            witnesses.append((k, tmag, dmag))
-    witnesses.sort(key=lambda w: (-min(w[1], w[2]), w[0]))
+    s1, s2, s3, s4 = _branches(tab, q, ks)
+    # L(1/2, conj chi_k) sits at index q-1-k of the oracle family
+    dirichlet = s3 + s4 if oracle is None else oracle[q - 1 - ks]
+    moment = complex(np.sum((s1 + s2) * dirichlet))
+    cross = {"S1S3": complex(np.sum(s1 * s3)), "S1S4": complex(np.sum(s1 * s4)),
+             "S2S3": complex(np.sum(s2 * s3)), "S2S4": complex(np.sum(s2 * s4))}
+
+    # chi_k and chi_{q-1-k} = conj chi_k (at reversed positions of ks) have
+    # equal magnitudes, as lambda is real; each pair reports the smaller of
+    # its two computed values, so their 1-ulp noise cannot split or reorder it
+    tmag = np.abs(s1 + s2)
+    dmag = np.abs(s3 + s4)
+    tmag = np.minimum(tmag, tmag[::-1])
+    dmag = np.minimum(dmag, dmag[::-1])
+    keep = ((tmag > witness_threshold + tab.err_twist)
+            & (dmag > witness_threshold + tab.err_dirichlet))
+    order = np.lexsort((ks[keep], -np.minimum(tmag, dmag)[keep]))
+    witnesses = Witnesses(ks[keep][order], tmag[keep][order],
+                          dmag[keep][order])
 
     lf1 = l_one_value if l_one_value is not None else _l_one_cached(f)
     main = (q - 2) / 2.0 * lf1
     return MomentReport(
-        q=q, moment=complex(moment), main_term=main,
+        q=q, moment=moment, main_term=main,
         ratio=float(moment.real / main),
         cross_terms=cross, witnesses=witnesses, n_characters=len(ks),
         l_one_value=lf1,
@@ -187,10 +228,11 @@ def cross_term_decomposition(f: HeckeSystem, mod: PrimeModulus) -> dict[str, com
 
 
 def nonvanishing_search(f: HeckeSystem, mod: PrimeModulus,
-                        threshold: float) -> list[tuple[int, float, float]]:
+                        threshold: float) -> Witnesses:
     """Even primitive chi with both |L(1/2, f x chi)| and |L(1/2, chi)|
     above threshold plus the respective error bars; sorted by the smaller of
-    the two magnitudes, descending."""
+    the two magnitudes, descending, then by k, so that each conjugate pair
+    is adjacent with its smaller k first."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     return twisted_moment(f, mod, witness_threshold=threshold).witnesses

@@ -1,9 +1,18 @@
 """Gamma factors, AFE weights V1/V2 and Voronoi kernels G+- / Psi+-.
 
-All weight functions are inverse Mellin transforms evaluated by quadrature on
-a vertical segment [c - iH, c + iH].  Truncation heights come from Stirling
-tail bounds; panel counts are doubled until two refinements agree, which is
-the a-posteriori certificate demanded of every contour integral here.
+The weights are inverse Mellin transforms.  The contour engine evaluates
+them by quadrature on a vertical segment [c - iH, c + iH]: truncation
+heights come from Stirling tail bounds, and panel counts are doubled until
+two refinements agree, which is the a-posteriori certificate demanded of
+every contour integral here.  The engine has three roles:
+
+- scalar oracles: v1, v2 and psi_pm, which the tests compare against;
+- the builder of the V2 table: v2_many reads per-form Chebyshev pieces in
+  log x over the fixed dyadic intervals [2^j, 2^(j+1)], each fitted once
+  to the engine and accepted only after an off-node check against it;
+- the Psi+- kernels of the dual sum (psi_pm_many).
+
+V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .errors import PoleError, QuadratureFailure
 
@@ -127,7 +137,10 @@ DEFAULT_PSI_TOL = 1e-9
 
 
 def default_v2_spec(T_f: float) -> WeightSpec:
-    return WeightSpec(kind="V2", c=1.0, tol=1e-10, T_f=T_f)
+    # at c = 1 the integrand carries (pi x)^-1, and for x = 1e-6 its
+    # cancellation costs 1.3e-9; at c = 1/2 the engine stays within 2e-12 of
+    # V2's residue series from x = 1e-6 to 14.4
+    return WeightSpec(kind="V2", c=0.5, tol=1e-10, T_f=T_f)
 
 
 def default_psi_spec(sign: int, T_f: float) -> WeightSpec:
@@ -699,37 +712,19 @@ def _batch_line(base: float, xs: np.ndarray, c: float, H: float, tol: float,
         f"batch contour integral did not converge within {max_panels} panels")
 
 
-def v1_many(xs, spec: WeightSpec = DEFAULT_V1) -> np.ndarray:
-    """V1 on an array of arguments via one shared contour rule."""
+def v1_many(xs) -> np.ndarray:
+    """V1 on an array of arguments by its closed form Q(1/4, pi x^2), the
+    normalized upper incomplete gamma function."""
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(0)
     if np.any(xs <= 0):
         raise ValueError("arguments must be positive")
-    c = spec.c
-    H = _grow_height(_v1_tail_bound(float(xs.min()), c), spec.tol)
-    lg_norm = _loggamma_core(np.array([0.25 + 0j]))[0]
-
-    def kernel(s):
-        return np.exp(complex_loggamma((2 * s + 1) / 4) - lg_norm) / s
-
-    out, floor = _batch_line(SQRT_PI, xs, c, H, spec.tol, kernel, spec.gl_order,
-                             min_panels=max(8, int(H / 6)),
-                             max_panels=spec.max_panels)
-    if np.any(np.abs(out.imag) > spec.tol + floor):
-        raise QuadratureFailure("V1 batch imaginary residual exceeds tol")
-    return out.real
+    return gammaincc(0.25, math.pi * xs * xs)
 
 
-def v2_many(xs, T_f: float, spec: WeightSpec | None = None) -> np.ndarray:
-    """V2 on an array of arguments via one shared contour rule."""
-    if spec is None:
-        spec = default_v2_spec(T_f)
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(0)
-    if np.any(xs <= 0):
-        raise ValueError("arguments must be positive")
+def _v2_contour(xs: np.ndarray, T_f: float):
+    """V2 and its rounding floor at every x in xs by one shared contour rule
+    (the builder of the V2 table)."""
+    spec = default_v2_spec(T_f)
     c = spec.c
     H = _grow_height(_v2_tail_bound(float(xs.min()), T_f, c), spec.tol,
                      h0=2 * abs(T_f) + 20.0)
@@ -747,7 +742,81 @@ def v2_many(xs, T_f: float, spec: WeightSpec | None = None) -> np.ndarray:
                              max_panels=spec.max_panels)
     if np.any(np.abs(out.imag) > spec.tol + floor):
         raise QuadratureFailure("V2 batch imaginary residual exceeds tol")
-    return out.real
+    return out.real, floor
+
+
+# A V2 table piece starts at this Chebyshev degree and doubles it, up to the
+# cap, until it passes the off-node check.
+_V2_DEGREE0 = 16
+_V2_DEGREE_CAP = 256
+
+
+def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through vals at the points
+    cos(pi k / n), k = 0..n (a DCT-I by real FFT of the even extension)."""
+    n = vals.size - 1
+    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+    c[0] /= 2
+    c[n] /= 2
+    return c
+
+
+@lru_cache(maxsize=256)
+def _v2_piece(T_f: float, j: int) -> tuple[np.ndarray, float]:
+    """(coefficients, delta) of the V2 table piece for x in [2^j, 2^(j+1)]: a
+    Chebyshev interpolant in t = 2 log2(x) - 2j - 1, and its largest
+    deviation from the contour engine at the check points.
+
+    The degree-n nodes are the even points cos(pi k / 2n); the odd ones
+    interleave them and are the check points.  A degree passes when its
+    deviation there is at most tol/2, the rule of panel doubling; only where
+    the engine's own rounding floor exceeds tol/2 (x below about 2e-8) does
+    the floor take its place.  Each piece is built once per (T_f, j) from
+    its own nodes, so no value depends on which arguments were asked first.
+    """
+    tol = default_v2_spec(T_f).tol
+    n = _V2_DEGREE0
+    while n <= _V2_DEGREE_CAP:
+        s = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
+        vals, floor = _v2_contour(2.0 ** (j + 0.5 * (s + 1.0)), T_f)
+        coef = _cheb_coeffs(vals[::2])
+        dev = np.abs(np.polynomial.chebyshev.chebval(s[1::2], coef) - vals[1::2])
+        if np.all(dev <= np.maximum(tol / 2, floor[1::2])):
+            coef.flags.writeable = False
+            return coef, float(dev.max())
+        n *= 2
+    raise QuadratureFailure(
+        f"V2 table piece [2^{j}, 2^{j + 1}] failed its off-node check")
+
+
+def _dyadic(xs: np.ndarray):
+    """(j, t) with x = 2^j 2^((t+1)/2), t in [-1, 1): the table piece and the
+    Chebyshev variable of each argument, exact at the piece edges."""
+    m, e = np.frexp(xs)          # xs = m 2^e with m in [1/2, 1)
+    return e - 1, 2.0 * np.log2(m) + 1.0
+
+
+def v2_table_delta(T_f: float, x_lo: float, x_hi: float) -> float:
+    """Largest deviation of the V2 table from the contour engine, measured at
+    the off-node check points of every piece that meets [x_lo, x_hi]."""
+    j_lo, j_hi = (int(j) for j in _dyadic(np.array([x_lo, x_hi]))[0])
+    return max(_v2_piece(T_f, j)[1] for j in range(j_lo, j_hi + 1))
+
+
+def v2_many(xs, T_f: float) -> np.ndarray:
+    """V2 on an array of arguments, read from the per-form table of dyadic
+    Chebyshev pieces; each value depends only on (x, T_f)."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise ValueError("arguments must be positive and finite")
+    flat = xs.ravel()
+    j, t = _dyadic(flat)
+    out = np.empty(flat.shape)
+    for jj in np.unique(j):
+        sel = j == jj
+        out[sel] = np.polynomial.chebyshev.chebval(
+            t[sel], _v2_piece(T_f, int(jj))[0])
+    return out.reshape(xs.shape)
 
 
 def psi_pm_many(xs, psi: TestFunction, T_f: float,

@@ -90,3 +90,32 @@ def test_check_data(capsys):
     assert doc["outputs"]["pmax"] == 16000
     assert doc["certificates"]["average_bound_flagged"] is False
     assert doc["certificates"]["l_one_disagreement"] < 1e-5
+
+
+def _one_line_error(capsys, argv, code):
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_bad_arguments_fail_before_loading_data(tmp_path, capsys):
+    # --data names a missing file: reading it would exit 2, so exit 1 shows
+    # that the arguments were rejected first
+    missing = "/no/such/file"
+    err = _one_line_error(capsys, ["voronoi", "--q", "7", "--d", "1",
+                                   "--N", "0", "--data", missing], 1)
+    assert err.startswith("usage error:")
+    _one_line_error(capsys, ["scan", "--qmin", "300", "--qmax", "100",
+                             "--data", missing], 1)
+    out = tmp_path / "no_dir" / "scan.json"
+    _one_line_error(capsys, ["scan", "--qmin", "5", "--qmax", "20",
+                             "--data", missing, "--out", str(out)], 1)
+    _one_line_error(capsys, ["chars", "--q", "11", "--out", str(tmp_path)], 1)
+    assert not out.parent.exists()
+
+
+def test_data_path_is_a_directory(tmp_path, capsys):
+    err = _one_line_error(capsys, ["moment", "--q", "101",
+                                   "--data", str(tmp_path)], 2)
+    assert err.startswith("data error:")

@@ -116,6 +116,17 @@ def test_average_bounds(real_f):
     assert all(r["mean_square"] < 5.0 for r in rep["rows"])
 
 
+def test_average_bounds_are_means_over_n_le_x(real_f):
+    rep = average_bound_report(real_f, [1, 100, 1000])
+    for row in rep["rows"]:
+        lam = coefficients_upto(real_f, row["x"])[1:]
+        assert abs(row["mean_abs"] - np.mean(np.abs(lam))) < 1e-12
+        assert abs(row["mean_square"] - np.mean(lam ** 2)) < 1e-12
+    assert rep["rows"][0]["mean_abs"] == 1.0
+    with pytest.raises(ValueError):
+        average_bound_report(real_f, [0, 100])
+
+
 def test_additive_twist_basics(real_f):
     val = additive_twist(real_f, 0.3, 1)
     want = real_f.coefficient(1) * np.exp(2j * np.pi * 0.3)

@@ -1,4 +1,6 @@
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,9 +8,8 @@ import pytest
 from lmoment.characters import (DirichletCharacter, build_modulus,
                                 even_primitive_indices, primes_in_range)
 from lmoment.errors import ModulusTooSmall
-from lmoment.lvalues import (WeightSpec, dirichlet_central_afe,
-                             twist_central_afe)
-from lmoment.moment import (CROSS_KEYS, cross_term_decomposition,
+from lmoment.lvalues import dirichlet_central_afe, twist_central_afe
+from lmoment.moment import (CROSS_KEYS, Witnesses, cross_term_decomposition,
                             nonvanishing_search, prime_scan, twisted_moment)
 from lmoment.weights import v1_many, v2_many
 
@@ -62,7 +63,7 @@ def test_diagonal_term_dominates(real_f):
     n = np.arange(1, real_f.P_max + 1)
     lam = real_f.coefficients_upto(real_f.P_max)[1:]
     diag = (q - 2) / 2.0 * np.sum(
-        lam / n * v1_many(n / math.sqrt(q), WeightSpec(kind="V1", c=1.0, tol=1e-12))
+        lam / n * v1_many(n / math.sqrt(q))
         * v2_many(n / q, real_f.T_f))
     s13 = rep.cross_terms["S1S3"].real
     assert abs(s13 - diag) < 0.25 * abs(diag)
@@ -121,3 +122,34 @@ def test_prime_scan_deterministic_across_workers(real_f):
         assert ra.q == rb.q
         assert ra.moment == rb.moment
         assert ra.witnesses == rb.witnesses
+
+
+def test_witness_conjugate_pairs_adjacent(real_f):
+    # chi_k and chi_{q-1-k} are conjugate with equal magnitudes: each pair is
+    # adjacent, smaller k first, whatever the last bits of the two values
+    for q in (101, 2003):
+        wits = twisted_moment(real_f, build_modulus(q)).witnesses
+        ks = [k for k, _, _ in wits]
+        pos = {k: i for i, k in enumerate(ks)}
+        for k in ks:
+            partner = q - 1 - k
+            assert partner in pos
+            if k < partner:
+                assert pos[partner] == pos[k] + 1
+        keys = [min(t, d) for _, t, d in wits]
+        assert keys == sorted(keys, reverse=True)
+
+
+def test_witnesses_read_like_a_list(real_f):
+    wits = twisted_moment(real_f, build_modulus(61)).witnesses
+    as_list = list(wits)
+    assert len(wits) == len(as_list) > 0 and bool(wits)
+    assert not Witnesses([], [], [])
+    assert wits[0] == as_list[0] and wits[-1] == as_list[-1]
+    k, t, d = wits[0]
+    assert type(k) is int and type(t) is float and type(d) is float
+    assert wits == as_list and list(wits[1:3]) == as_list[1:3]
+    again = pickle.loads(pickle.dumps(wits))
+    assert again == wits and again is not wits
+    assert wits != Witnesses(wits.k, wits.twist_mag * 2, wits.dirichlet_mag)
+    assert json.loads(json.dumps(as_list)) == [list(w) for w in as_list]

@@ -9,7 +9,7 @@ from lmoment.weights import (DEFAULT_V1, TestFunction, WeightSpec,
                              complex_gamma, complex_loggamma, default_bump,
                              default_psi_spec, default_v2_spec, g_pm, mellin,
                              psi_bound, psi_pm, psi_pm_many, v1, v1_bound,
-                             v1_many, v2, v2_bound, v2_many)
+                             v1_many, v2, v2_bound, v2_many, _v2_piece)
 
 T_F = 13.7797513518907
 
@@ -84,9 +84,27 @@ def test_batch_matches_scalar():
     vb = v1_many(xs)
     for i, x in enumerate(xs):
         assert abs(vb[i] - v1(float(x))) < 3e-10
+    # V2 table: piece edges 2^j and their neighbours, the smallest argument
+    # probed by the small-x tests and the largest cutoff-doubling argument
+    edges = 2.0 ** np.arange(-12, 4)
+    xs = np.concatenate([xs, edges, edges * (1 - 1e-9), edges * (1 + 1e-9),
+                         [1e-6, 14.4]])
     vb = v2_many(xs, T_F)
     for i, x in enumerate(xs):
         assert abs(vb[i] - v2(float(x), T_F)) < 3e-10
+
+
+def test_v2_table_history_independence():
+    # a value depends only on (x, T_f): not on the order in which the table
+    # pieces were built, nor on the other arguments of the call
+    xs = np.concatenate([np.geomspace(1 / 2221, 14.4, 40), [1.0, 0.5, 8.0]])
+    first = v2_many(xs, T_F)
+    _v2_piece.cache_clear()
+    for x in xs[::-1]:
+        v2_many(np.array([x]), T_F)
+    for i in range(xs.size):
+        assert v2_many(xs[i:i + 1], T_F)[0] == first[i]
+    assert np.array_equal(v2_many(xs, T_F), first)
 
 
 def test_psi_batch_matches_scalar():
