@@ -31,7 +31,7 @@ from .hecke import (average_bound_report, l_one_report, load_hecke_data,
 from .lvalues import (dirichlet_central_afe, dirichlet_central_oracle,
                       twist_central_afe)
 from .moment import prime_scan, twisted_moment
-from .voronoi import voronoi_check
+from .voronoi import inverse_mod, voronoi_check
 from .weights import default_bump
 
 SCHEMA_VERSION = "lmoment/1"
@@ -151,10 +151,10 @@ def _report_dict(rep) -> dict:
 
 
 def _cmd_moment(args):
+    mod = build_modulus(args.q)
     f = _load_system(args)
     threshold = args.tol if args.tol is not None else 1e-6
-    rep = twisted_moment(f, build_modulus(args.q),
-                         witness_threshold=threshold)
+    rep = twisted_moment(f, mod, witness_threshold=threshold)
     total = sum(rep.cross_terms.values())
     certs = {
         "imag_residual": abs(rep.moment.imag) / (1 + abs(rep.moment)),
@@ -202,13 +202,15 @@ def _cmd_scan(args):
 
 def _cmd_voronoi(args):
     _require(args.N >= 1, "--N must be >= 1")
+    mod = build_modulus(args.q)
+    inverse_mod(args.d, mod)    # rejects a d that shares a factor with q
     f = _load_system(args)
-    chk = voronoi_check(f, args.d, build_modulus(args.q), args.N,
-                        default_bump())
+    chk = voronoi_check(f, args.d, mod, args.N, default_bump())
     outputs = {
         "q": chk.q, "d": chk.d, "N": chk.N, "psi": chk.psi_name,
         "lhs": _c(chk.lhs), "rhs": _c(chk.rhs),
         "rhs_truncation": chk.rhs_truncation,
+        "truncation_capped_at_reach": chk.truncation_capped_at_reach,
         "residual": chk.residual,
         "negative_control": f.is_mock,
     }

@@ -21,11 +21,18 @@ from .hecke import HeckeSystem
 from .weights import TestFunction, psi_decay_ladder, psi_pm_many
 
 RHS_TOL = 1e-8
+# the minus-kernel ladder tail that the default truncation aims for
+TAIL_TARGET = 1e-9
 
 
 @dataclass
 class VoronoiCheck:
-    """Both sides of the identity with the truncation evidence."""
+    """Both sides of the identity with the truncation evidence.
+
+    truncation_capped_at_reach is true when the default truncation stopped
+    at the coefficient reach f.P_max with the minus-kernel tail certificate
+    still above TAIL_TARGET, so that the dual sum is cut short of its target.
+    """
 
     q: int
     d: int
@@ -34,6 +41,7 @@ class VoronoiCheck:
     lhs: complex
     rhs: complex
     rhs_truncation: int
+    truncation_capped_at_reach: bool
     residual: float
     tail_certificate_plus: float
     tail_certificate_minus: float
@@ -41,7 +49,8 @@ class VoronoiCheck:
     data_error_bound: float
 
 
-def _inverse_mod(d: int, mod: PrimeModulus) -> int:
+def inverse_mod(d: int, mod: PrimeModulus) -> int:
+    """The inverse of d modulo q; NotCoprime when q divides d."""
     q = mod.q
     r = d % q
     if r == 0:
@@ -54,7 +63,7 @@ def voronoi_lhs(f: HeckeSystem, d: int, mod: PrimeModulus, N: int,
     """Sum over n of lambda_f(n) e(n dbar / q) psi(n / N); finite because
     psi is supported in [1, 2]."""
     q = mod.q
-    dbar = _inverse_mod(d, mod)
+    dbar = inverse_mod(d, mod)
     if 2 * N > f.P_max:
         raise InsufficientData(
             f"left side needs coefficients to {2 * N}, reach is {f.P_max}")
@@ -82,14 +91,15 @@ def _ladder_tail(ladder, beta: float, q: int, M: int) -> float:
 
 def rhs_truncation_default(f: HeckeSystem, mod: PrimeModulus, N: int) -> int:
     """Dual-sum truncation: start from the q^2 (log q)^2 / N window and grow
-    until the minus-kernel ladder tail clears 1e-9, capped at the
+    until the minus-kernel ladder tail clears TAIL_TARGET, capped at the
     coefficient reach (the plus kernel dies far earlier; its ladder
-    certificate is reported but is not sharp enough to steer truncation)."""
+    certificate is reported but is not sharp enough to steer truncation).
+    voronoi_rhs reports whether the cap stopped it."""
     q = mod.q
     beta = N / q ** 2
     M = max(64, math.ceil(q ** 2 * math.log(q) ** 2 / N))
     minus = psi_decay_ladder(f.T_f, -1)
-    while M < f.P_max and _ladder_tail(minus, beta, q, M) > 1e-9:
+    while M < f.P_max and _ladder_tail(minus, beta, q, M) > TAIL_TARGET:
         M = min(2 * M, f.P_max)
     return M
 
@@ -100,10 +110,13 @@ def voronoi_rhs(f: HeckeSystem, d: int, mod: PrimeModulus, N: int,
 
     Returns (value, evidence) where evidence carries the truncation, the
     two ladder tail certificates, the truncation-halving delta, and the
-    propagated coefficient-data error bound.
+    propagated coefficient-data error bound.  Its truncation_capped_at_reach
+    is true when the default truncation stopped at f.P_max with the
+    minus-kernel tail certificate above TAIL_TARGET, and false when the
+    caller passed truncation.
     """
     q = mod.q
-    _inverse_mod(d, mod)    # validates coprimality
+    inverse_mod(d, mod)    # validates coprimality
     M = truncation if truncation is not None else rhs_truncation_default(f, mod, N)
     if M > f.P_max:
         raise InsufficientData(
@@ -120,12 +133,14 @@ def voronoi_rhs(f: HeckeSystem, d: int, mod: PrimeModulus, N: int,
     value_half = q * (complex(np.sum(term_p[:half]))
                       + complex(np.sum(term_m[:half])))
     beta = N / q ** 2
+    tail_minus = _ladder_tail(psi_decay_ladder(f.T_f, -1), beta, q, M)
     evidence = {
         "rhs_truncation": M,
+        "truncation_capped_at_reach": (truncation is None and M == f.P_max
+                                       and tail_minus > TAIL_TARGET),
         "tail_certificate_plus": _ladder_tail(
             psi_decay_ladder(f.T_f, +1), beta, q, M),
-        "tail_certificate_minus": _ladder_tail(
-            psi_decay_ladder(f.T_f, -1), beta, q, M),
+        "tail_certificate_minus": tail_minus,
         "doubling_delta": abs(value - value_half),
         "data_error_bound": float(
             q * f.data_precision * np.sum((np.abs(pp) + np.abs(pm)) / n)),
@@ -142,6 +157,7 @@ def voronoi_check(f: HeckeSystem, d: int, mod: PrimeModulus, N: int,
         q=mod.q, d=d, N=N, psi_name=psi.name,
         lhs=lhs, rhs=rhs,
         rhs_truncation=ev["rhs_truncation"],
+        truncation_capped_at_reach=ev["truncation_capped_at_reach"],
         residual=abs(lhs - rhs) / (1.0 + abs(lhs)),
         tail_certificate_plus=ev["tail_certificate_plus"],
         tail_certificate_minus=ev["tail_certificate_minus"],

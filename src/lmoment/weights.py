@@ -1,16 +1,18 @@
 """Gamma factors, AFE weights V1/V2 and Voronoi kernels G+- / Psi+-.
 
-The weights are inverse Mellin transforms.  The contour engine evaluates
-them by quadrature on a vertical segment [c - iH, c + iH]: truncation
-heights come from Stirling tail bounds, and panel counts are doubled until
-two refinements agree, which is the a-posteriori certificate demanded of
-every contour integral here.  The engine has three roles:
+The weights are inverse Mellin transforms, evaluated by quadrature on a
+vertical segment [c - iH, c + iH]: truncation heights come from tail bounds,
+and panel counts are doubled until two refinements agree, which is the
+a-posteriori certificate demanded of every contour integral here.
 
-- scalar oracles: v1, v2 and psi_pm, which the tests compare against;
-- the builder of the V2 table: v2_many reads per-form Chebyshev pieces in
-  log x over the fixed dyadic intervals [2^j, 2^(j+1)], each fitted once
-  to the engine and accepted only after an off-node check against it;
-- the Psi+- kernels of the dual sum (psi_pm_many).
+One batch engine, _batch_line, evaluates many arguments and kernel rows at
+once.  At the nodes t = m_p + h xi_k it splits the phase e^{-iut} as
+e^{-iu m_p} e^{-iu h xi_k}, and the bump's Mellin transform likewise.  It
+gives the Psi+- kernels of the dual sum (psi_pm_many) and builds the V2
+table: v2_many reads per-form Chebyshev pieces in log x over the dyadic
+intervals [2^j, 2^(j+1)], each fitted once to the engine and accepted only
+after an off-node check against it.  The dense scalar v1, v2 and psi_pm
+(line_integral) are the oracles the tests check the engine against.
 
 V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
 """
@@ -18,7 +20,7 @@ V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -279,6 +281,34 @@ def v2(x: float, T_f: float, spec: WeightSpec | None = None) -> float:
 # ---------------------------------------------------------------------------
 # smooth bump test function and its Mellin transform
 
+def _bump_panels(tmax: float) -> int:
+    """Starting panel count of the bump's Mellin rule up to frequency tmax."""
+    return max(4, int(0.12 * tmax / 4) + 2)
+
+
+def _bump_rule(psi: TestFunction, panels: int):
+    """(log x_m, b_m): composite 16-point Gauss-Legendre on [1, 2] with
+    b_m = weight_m psi(x_m), so that psi~(s) ~ sum_m b_m x_m^(s-1)."""
+    x0, w0 = _gl_nodes(16)
+    edges = np.linspace(1.0, 2.0, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    x = (mid[:, None] + half * x0[None, :]).ravel()
+    base = np.broadcast_to(half * w0[None, :], (panels, 16)).ravel() * psi(x)
+    return np.log(x), base
+
+
+def _mellin_dense(rule, s) -> np.ndarray:
+    """psi~(s) on a 1-d array by a node rule, one exponential per node and s."""
+    lx, base = rule
+    s = np.asarray(s, dtype=complex)
+    out = np.empty(s.shape, dtype=complex)
+    for i0 in range(0, s.size, 4096):
+        blk = s[i0:i0 + 4096]
+        out[i0:i0 + 4096] = np.exp(lx[None, :] * (blk[:, None] - 1)) @ base
+    return out
+
+
 class TestFunction:
     """Canonical smooth bump supported on [1,2].
 
@@ -350,26 +380,10 @@ class TestFunction:
         scalar = s_arr.ndim == 0
         s_flat = np.atleast_1d(s_arr).ravel()
         tmax = float(np.max(np.abs(s_flat.imag))) if s_flat.size else 0.0
-        panels = max(4, int(0.12 * tmax / 4) + 2)
-        order = 16
-        x0, w0 = _gl_nodes(order)
-
-        def evaluate(p):
-            edges = np.linspace(1.0, 2.0, p + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            x = (mid[:, None] + half * x0[None, :]).ravel()
-            base = np.broadcast_to(half * w0[None, :], (p, order)).ravel() * self(x)
-            lx = np.log(x)
-            out = np.empty(s_flat.shape, dtype=complex)
-            for i0 in range(0, s_flat.size, 4096):
-                blk = s_flat[i0:i0 + 4096]
-                out[i0:i0 + 4096] = np.exp(lx[None, :] * (blk[:, None] - 1)) @ base
-            return out
-
+        panels = _bump_panels(tmax)
         prev = None
         for _ in range(12):
-            val = evaluate(panels)
+            val = _mellin_dense(_bump_rule(self, panels), s_flat)
             if prev is not None and float(np.max(np.abs(val - prev))) <= tol:
                 out = val.reshape(np.atleast_1d(s_arr).shape)
                 return complex(out.ravel()[0]) if scalar else out
@@ -422,51 +436,36 @@ def g_pm(s, T_f: float, sign: int):
     return complex(val[0]) if scalar else val
 
 
-@lru_cache(maxsize=8)
-def _g_envelope(T_f: float, sigma: float, sign: int) -> float:
-    """Empirical envelope constant: |G(sigma+it)| <= C (1+|t|)^{2 sigma+1}.
-
-    Stirling gives the power; the constant is measured on a dense sample up
-    to |t| = 400 and doubled.
-    """
-    t = np.linspace(0.37, 400.0, 3000)
-    vals = np.abs(g_pm(sigma + 1j * t, T_f, sign))
-    env = vals / (1 + t) ** (2 * sigma + 1)
-    # avoid the immediate vicinity of gamma poles on the real axis
-    return 2.0 * float(np.max(env))
-
-
-def _fixed_mellin_evaluator(psi: TestFunction, tmax: float, tol: float):
-    """Closure computing psi~(s) on arrays with |Im s| <= tmax, validated once
-    by panel doubling at the worst-case frequency."""
-    order = 16
-    panels = max(4, int(0.12 * tmax / 4) + 2)
-    x0, w0 = _gl_nodes(order)
-
-    def build(p):
-        edges = np.linspace(1.0, 2.0, p + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        x = (mid[:, None] + half * x0[None, :]).ravel()
-        base = np.broadcast_to(half * w0[None, :], (p, order)).ravel() * psi(x)
-        return np.log(x), base
-
-    def apply(lx, base, s):
-        out = np.empty(s.shape, dtype=complex)
-        for i0 in range(0, s.size, 4096):
-            blk = s[i0:i0 + 4096]
-            out[i0:i0 + 4096] = np.exp(lx[None, :] * (blk[:, None] - 1)) @ base
-        return out
-
+@lru_cache(maxsize=32)
+def _mellin_rule(psi: TestFunction, tmax: float, tol: float):
+    """The node rule of _bump_rule for |Im s| <= tmax, validated once by
+    panel doubling to tol at the worst-case frequency.  The arrays are
+    read-only."""
+    panels = _bump_panels(tmax)
     probe = np.array([1.0 - 1j * tmax, -1.0 - 1j * tmax, -1j * tmax * 0.7])
     while True:
-        lx, base = build(panels)
-        lx2, base2 = build(2 * panels)
-        if np.max(np.abs(apply(lx, base, probe) - apply(lx2, base2, probe))) <= tol:
-            return lambda s: apply(lx2, base2, np.asarray(s, dtype=complex))
+        rule, rule2 = _bump_rule(psi, panels), _bump_rule(psi, 2 * panels)
+        if np.max(np.abs(_mellin_dense(rule, probe)
+                         - _mellin_dense(rule2, probe))) <= tol:
+            for a in rule2:
+                a.flags.writeable = False
+            return rule2
         panels *= 2
         if panels > 4096:
             raise QuadratureFailure("Mellin node rule did not validate")
+
+
+def _mellin_separable(rule, sigma: float, mid: np.ndarray,
+                      off: np.ndarray) -> np.ndarray:
+    """psi~(-s) at s = sigma + i(mid_p + off_k), as a (panels, nodes) array.
+
+    x_m^(-s-1) = x_m^(-sigma-1) e^{-i mid_p log x_m} e^{-i off_k log x_m},
+    so the rule costs (panels + nodes) exponentials per x_m and one matrix
+    product, instead of one exponential per x_m and s."""
+    lx, base = rule
+    b = base * np.exp(-(sigma + 1.0) * lx)
+    return (np.exp(-1j * np.outer(mid, lx))
+            @ (np.exp(-1j * np.outer(lx, off)) * b[:, None]))
 
 
 @lru_cache(maxsize=16)
@@ -533,10 +532,10 @@ def psi_pm(x: float, psi: TestFunction, T_f: float, sign: int,
             raise QuadratureFailure("Psi integrand tail does not reach tolerance")
         H = float(tg[int(ok.min())])
 
-    mell = _fixed_mellin_evaluator(psi, 1.001 * H, spec.tol / 100)
+    rule = _mellin_rule(psi, 1.001 * H, spec.tol / 100)
 
     def fun(s):
-        return np.exp(-s * L) * g_pm(s, T_f, sign) * mell(-s)
+        return np.exp(-s * L) * g_pm(s, T_f, sign) * _mellin_dense(rule, -s)
 
     # panel count from the oscillation budget of (pi^2 x)^{-it}
     cycles = abs(L) * H / TWO_PI + H / 40.0
@@ -679,31 +678,54 @@ def psi_bound(x: float, T_f: float, sign: int) -> float:
 # ---------------------------------------------------------------------------
 # batch evaluation: one contour, one node rule, many arguments
 
+# Arguments per block of the separable phase sum: at 1360 panels a block holds
+# a 22 MB first factor and a 45 MB product for two kernel rows.
+_PHASE_BLOCK = 1024
+
+
+def _phase_sum(u: np.ndarray, mid: np.ndarray, off: np.ndarray,
+               wk: np.ndarray) -> np.ndarray:
+    """sum over p, k of e^{-i u (mid_p + off_k)} wk[j, p, k], for every u and
+    every row j of wk: the row sum of E1 o (E2 W^T), with E1 = e^{-iu mid}
+    and E2 = e^{-iu off}.  That is (panels + nodes) exponentials per argument
+    and one matrix product of inner dimension nodes, not panels * nodes
+    exponentials."""
+    rows, panels, nodes = wk.shape
+    w = wk.transpose(2, 0, 1).reshape(nodes, rows * panels)
+    out = np.empty((rows, u.size), dtype=complex)
+    for i0 in range(0, u.size, _PHASE_BLOCK):
+        ub = u[i0:i0 + _PHASE_BLOCK]
+        e1 = np.exp(-1j * np.outer(ub, mid))
+        a = (np.exp(-1j * np.outer(ub, off)) @ w).reshape(ub.size, rows, panels)
+        out[:, i0:i0 + _PHASE_BLOCK] = np.einsum("bp,bjp->jb", e1, a)
+    return out
+
+
 def _batch_line(base: float, xs: np.ndarray, c: float, H: float, tol: float,
-                kernel, gl_order: int = 24, min_panels: int = 8,
-                max_panels: int = 4096) -> np.ndarray:
-    """Evaluate (1/2 pi) integral of (base*x)^{-s} kernel(s) dt at s = c+it
-    for every x in xs at once.  Panel doubling with a per-x acceptance test.
+                kernel, min_panels: int, max_panels: int,
+                gl_order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """(1/2 pi) integral over t in [-H, H] of (base*x)^{-s} k_j(s) dt at
+    s = c + it, for every kernel row k_j and every x in xs at once.
+
+    kernel(mid, off) returns k_j(c + i(mid_p + off_k)) as a (rows, panels,
+    gl_order) array, for panel midpoints mid and Gauss-Legendre offsets off.
+    Panels double from min_panels until every value agrees with the previous
+    level within tol/2 plus its rounding floor 4e-15 sum|w k_j| (base x)^-c
+    / 2 pi.  Returns (values, floors), each of shape (rows, xs.size).
     """
     x0, w0 = _gl_nodes(gl_order)
     lx = np.log(base * xs)
+    pref = np.exp(-c * lx) / TWO_PI
     panels = min_panels
     prev = None
     while panels <= max_panels:
         edges = np.linspace(-H, H, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        t = (mid[:, None] + half * x0[None, :]).ravel()
-        w = np.broadcast_to(half * w0[None, :], (panels, gl_order)).ravel()
-        s = c + 1j * t
-        wk = w * kernel(s)
-        absw = float(np.sum(np.abs(wk)))
-        out = np.empty(xs.shape, dtype=complex)
-        for i0 in range(0, xs.size, 512):
-            blk = lx[i0:i0 + 512]
-            out[i0:i0 + 512] = np.exp(-np.outer(blk, s)) @ wk
-        out /= TWO_PI
-        floor = 4e-15 * absw * np.exp(-c * lx) / TWO_PI
+        off = half * x0
+        wk = half * w0 * kernel(mid, off)
+        out = _phase_sum(lx, mid, off, wk) * pref
+        floor = 4e-15 * np.sum(np.abs(wk), axis=(1, 2))[:, None] * pref
         if prev is not None and np.all(np.abs(out - prev) <= tol / 2 + floor):
             return out, floor
         prev = out
@@ -732,14 +754,15 @@ def _v2_contour(xs: np.ndarray, T_f: float):
     lg_norm = complex(complex_loggamma(np.array([(1 + a) / 4]))[0]
                       + complex_loggamma(np.array([(1 - a) / 4]))[0])
 
-    def kernel(s):
+    def kernel(mid, off):
+        s = c + 1j * (mid[:, None] + off[None, :])
         lg = (complex_loggamma((2 * s + 1 + a) / 4)
               + complex_loggamma((2 * s + 1 - a) / 4) - lg_norm)
-        return np.exp(lg) / s
+        return (np.exp(lg) / s)[None]
 
-    out, floor = _batch_line(math.pi, xs, c, H, spec.tol, kernel, spec.gl_order,
-                             min_panels=max(8, int(H / 6)),
-                             max_panels=spec.max_panels)
+    out, floor = _batch_line(math.pi, xs, c, H, spec.tol, kernel,
+                             max(8, int(H / 6)), spec.max_panels, spec.gl_order)
+    out, floor = out[0], floor[0]
     if np.any(np.abs(out.imag) > spec.tol + floor):
         raise QuadratureFailure("V2 batch imaginary residual exceeds tol")
     return out.real, floor
@@ -822,9 +845,9 @@ def v2_many(xs, T_f: float) -> np.ndarray:
 def psi_pm_many(xs, psi: TestFunction, T_f: float,
                 tol: float = DEFAULT_PSI_TOL,
                 sigma: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi_plus, Psi_minus) on an array of arguments, sharing one contour
-    rule at abscissa sigma and one Mellin node rule across all x and both
-    signs."""
+    """(Psi_plus, Psi_minus) on an array of arguments: the two kernels are
+    the two rows of one batch contour integral at abscissa sigma, with one
+    Mellin node rule shared by all x and both signs."""
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0, complex), np.zeros(0, complex)
@@ -840,44 +863,16 @@ def psi_pm_many(xs, psi: TestFunction, T_f: float,
         if ok.size == 0:
             raise QuadratureFailure("Psi integrand tail does not reach tolerance")
         H = max(H, float(tg[int(ok.min())]))
-    mell = _fixed_mellin_evaluator(psi, 1.001 * H, tol / 100)
+    rule = _mellin_rule(psi, 1.001 * H, tol / 100)
     Lmax = float(np.max(np.abs(np.log(math.pi ** 2 * xs))))
     cycles = Lmax * H / TWO_PI + H / 40.0
     start = max(8, int(cycles / 6) + 4)
 
-    def kernel_pair(s):
-        m = mell(-s)
-        return g_pm(s, T_f, +1) * m, g_pm(s, T_f, -1) * m
+    def kernel(mid, off):
+        s = sigma + 1j * (mid[:, None] + off[None, :])
+        m = _mellin_separable(rule, sigma, mid, off)
+        return np.stack([g_pm(s, T_f, +1) * m, g_pm(s, T_f, -1) * m])
 
-    x0, w0 = _gl_nodes(24)
-    lx = np.log(math.pi ** 2 * xs)
-    pref = np.exp(-sigma * lx)
-    panels = start
-    prev = None
-    while panels <= max(4096, 4 * start):
-        edges = np.linspace(-H, H, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        t = (mid[:, None] + half * x0[None, :]).ravel()
-        w = np.broadcast_to(half * w0[None, :], (panels, 24)).ravel()
-        s = sigma + 1j * t
-        kp, km = kernel_pair(s)
-        wkp, wkm = w * kp, w * km
-        outp = np.empty(xs.shape, dtype=complex)
-        outm = np.empty(xs.shape, dtype=complex)
-        for i0 in range(0, xs.size, 512):
-            ph = np.exp(-1j * np.outer(lx[i0:i0 + 512], t))
-            outp[i0:i0 + 512] = ph @ wkp
-            outm[i0:i0 + 512] = ph @ wkm
-        outp *= pref / TWO_PI
-        outm *= pref / TWO_PI
-        floor = pref_max * 4e-15 * max(float(np.sum(np.abs(wkp))),
-                                       float(np.sum(np.abs(wkm)))) / TWO_PI
-        if prev is not None:
-            dp = float(np.max(np.abs(outp - prev[0])))
-            dm = float(np.max(np.abs(outm - prev[1])))
-            if max(dp, dm) <= tol / 2 + floor:
-                return outp, outm
-        prev = (outp, outm)
-        panels *= 2
-    raise QuadratureFailure("Psi batch contour integral did not converge")
+    out, _ = _batch_line(math.pi ** 2, xs, sigma, H, tol, kernel,
+                         start, max(4096, 4 * start))
+    return out[0], out[1]

@@ -112,6 +112,12 @@ def test_bad_arguments_fail_before_loading_data(tmp_path, capsys):
     _one_line_error(capsys, ["scan", "--qmin", "5", "--qmax", "20",
                              "--data", missing, "--out", str(out)], 1)
     _one_line_error(capsys, ["chars", "--q", "11", "--out", str(tmp_path)], 1)
+    # a composite modulus, and a d that q divides
+    for argv in (["voronoi", "--q", "10", "--d", "1", "--N", "50"],
+                 ["voronoi", "--q", "7", "--d", "7", "--N", "50"],
+                 ["moment", "--q", "100"]):
+        err = _one_line_error(capsys, argv + ["--data", missing], 1)
+        assert err.startswith("usage error:")
     assert not out.parent.exists()
 
 

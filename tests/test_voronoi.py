@@ -66,13 +66,16 @@ def test_rhs_evidence_fields(real_f, bump):
     mod = build_modulus(7)
     _, ev = voronoi_rhs(real_f, 1, mod, 50, bump, truncation=1024)
     assert ev["rhs_truncation"] == 1024
+    assert ev["truncation_capped_at_reach"] is False
     assert 0 < ev["data_error_bound"] < 1e-3
     assert np.isfinite(ev["doubling_delta"])
     assert ev["tail_certificate_minus"] < ev["tail_certificate_plus"]
 
 
-@pytest.mark.slow
 def test_identity_small_case(real_f, bump):
     chk = voronoi_check(real_f, 1, build_modulus(7), 50, bump)
     assert chk.residual < 1e-3
     assert chk.doubling_delta < 1e-6
+    # the minus-kernel tail is still about 8e-8 at the reach P_max = 16000
+    assert chk.rhs_truncation == real_f.P_max
+    assert chk.truncation_capped_at_reach is True

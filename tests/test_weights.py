@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma, gammaincc
 
+from lmoment import weights
 from lmoment.errors import QuadratureFailure
 from lmoment.weights import (DEFAULT_V1, TestFunction, WeightSpec,
                              complex_gamma, complex_loggamma, default_bump,
                              default_psi_spec, default_v2_spec, g_pm, mellin,
                              psi_bound, psi_pm, psi_pm_many, v1, v1_bound,
-                             v1_many, v2, v2_bound, v2_many, _v2_piece)
+                             v1_many, v2, v2_bound, v2_many, _mellin_dense,
+                             _mellin_rule, _mellin_separable, _phase_sum,
+                             _v2_piece)
 
 T_F = 13.7797513518907
 
@@ -107,9 +110,44 @@ def test_v2_table_history_independence():
     assert np.array_equal(v2_many(xs, T_F), first)
 
 
+def test_separable_sums_match_dense(monkeypatch):
+    # the batch engine's phase e^{-iu m_p} e^{-iu h xi_k} and its Mellin
+    # factor against the dense forms, at the height and panel counts of the
+    # (7, 1, 50) dual sum; a small block size exercises the block edges
+    monkeypatch.setattr(weights, "_PHASE_BLOCK", 40)
+    rng = np.random.default_rng(1)
+    x0, _ = np.polynomial.legendre.leggauss(24)
+    u = np.linspace(-3.0, 13.0, 97)
+    H = 1043.0
+
+    def grid(panels):
+        edges = np.linspace(-H, H, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        off = 0.5 * (edges[1] - edges[0]) * x0
+        return mid, off, (mid[:, None] + off[None, :]).ravel()
+
+    for panels in (340, 680, 1360):
+        mid, off, t = grid(panels)
+        w = (rng.standard_normal((2, panels, 24))
+             + 1j * rng.standard_normal((2, panels, 24)))
+        got = _phase_sum(u, mid, off, w)
+        dense = np.exp(-1j * np.outer(u, t))
+        for j in range(2):
+            want = dense @ w[j].ravel()
+            assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.sum(np.abs(w[j]))
+    # the dense Mellin form costs seconds a level; one level suffices
+    mid, off, t = grid(340)
+    rule = _mellin_rule(default_bump(), 1.001 * H, 1e-11)
+    for sigma in (0.0, 0.5):
+        got = _mellin_separable(rule, sigma, mid, off).ravel()
+        want = _mellin_dense(rule, -(sigma + 1j * t))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(rule[1]))
+
+
 def test_psi_batch_matches_scalar():
     psi = default_bump()
-    xs = np.geomspace(0.8, 50.0, 8)
+    # the dual-sum arguments reach n N / q^2 with n up to 16000
+    xs = np.concatenate([np.geomspace(0.8, 50.0, 8), [300.0, 16000 * 50 / 49]])
     pp, pm = psi_pm_many(xs, psi, T_F)
     for i, x in enumerate(xs):
         assert abs(pp[i] - psi_pm(float(x), psi, T_F, +1)) < 3e-9
