@@ -21,7 +21,6 @@ from .errors import (InsufficientData, OddCharacter, PoleError,
                      PrincipalCharacter)
 from .expsums import gauss_sum
 from .hecke import HeckeSystem
-from .weights import WeightSpec  # noqa: F401  (re-exported for spec users)
 from .weights import (v1_bound, v1_many, v2_decay_ladder, v2_many,
                       v2_table_delta)
 

@@ -15,6 +15,12 @@ after an off-node check against it.  The dense scalar v1, v2 and psi_pm
 (line_integral) are the oracles the tests check the engine against.
 
 V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
+
+Each weight's gamma factors are written once (_v2_kernel for V2, g_pm for
+G+-), from scipy.special.loggamma.  The bump's Mellin transform along a
+vertical line is sampled by FFT down to its double-precision floor, and one
+empirical stretched-exponential fit continues it beyond (_psi_line); both the
+Psi+- truncation heights and the Psi+- decay ladders read it.
 """
 
 from __future__ import annotations
@@ -24,80 +30,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, loggamma
 
-from .errors import PoleError, QuadratureFailure
+from .errors import QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
 
 # ---------------------------------------------------------------------------
-# complex gamma (Lanczos, g = 7, with reflection)
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
-def _loggamma_core(z):
-    """log Gamma for Re(z) >= 0.5 (vectorized, Lanczos)."""
-    z = np.asarray(z, dtype=complex) - 1.0
-    x = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for i in range(1, len(_LANCZOS_C)):
-        x = x + _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2 * math.pi) + (z + 0.5) * np.log(t) - t + np.log(x)
-
-
-def complex_loggamma(s):
-    """log Gamma(s) up to an additive multiple of 2*pi*i.
-
-    Only ever used inside exp() of sums/differences, where the branch is
-    immaterial.
-    """
-    s = np.asarray(s, dtype=complex)
-    out = np.empty(s.shape, dtype=complex)
-    left = s.real < 0.5
-    if np.any(~left):
-        out[~left] = _loggamma_core(s[~left])
-    if np.any(left):
-        z = s[left]
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z), with an
-        # overflow-safe log sin for large |Im z|
-        out[left] = math.log(math.pi) - _log_sin_pi(z) - _loggamma_core(1.0 - z)
-    return out
-
-
-def _log_sin_pi(z):
-    """log sin(pi z), stable for large |Im z| (branch irrelevant for our use)."""
-    z = np.asarray(z, dtype=complex)
-    y = z.imag
-    sgn = np.where(y >= 0, 1.0, -1.0)
-    # sin(pi z) = e^{-i pi z sgn} (e^{2 i pi z sgn} - 1) * sgn / (2 i)
-    small = np.exp(2j * np.pi * z * sgn)      # magnitude e^{-2 pi |y|} <= 1
-    return (-1j * np.pi * z * sgn) + np.log((small - 1.0) * sgn / 2j)
-
-
-def complex_gamma(s):
-    """Gamma(s) for complex s, vectorized; PoleError at non-positive integers."""
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    pole = (arr.imag == 0) & (arr.real <= 0) & (arr.real == np.round(arr.real))
-    if np.any(pole):
-        raise PoleError(f"gamma pole at {arr[pole][0]}")
-    out = np.exp(complex_loggamma(arr))
-    return complex(out[0]) if scalar else out
-
+# vertical decay of the gamma function
 
 def gamma_line_bound(sigma: float, y: float) -> float:
     """Upper bound for |Gamma(sigma + iy)|, |y| >= 2, 0 <= sigma <= 2.5.
@@ -201,11 +142,11 @@ def _grow_height(tail_bound, tol: float, h0: float = 20.0, hmax: float = 6000.0)
 # V1 and V2
 
 def _v1_integrand(x: float):
-    lg_norm = _loggamma_core(np.array([0.25 + 0j]))[0]
+    lg_norm = math.lgamma(0.25)
     L = math.log(SQRT_PI * x)
 
     def fun(s):
-        return np.exp(complex_loggamma((2 * s + 1) / 4) - lg_norm - s * L) / s
+        return np.exp(loggamma((2 * s + 1) / 4) - lg_norm - s * L) / s
     return fun
 
 
@@ -234,22 +175,26 @@ def v1(x: float, spec: WeightSpec = DEFAULT_V1) -> float:
     return val.real
 
 
-def _v2_integrand(x: float, T_f: float):
+def _v2_kernel(s, T_f: float):
+    """Gamma((2s+1+2iT)/4) Gamma((2s+1-2iT)/4) / (norm s) at complex s, with
+    norm = |Gamma((1+2iT)/4)|^2: the Mellin kernel of V2."""
     a = 2j * T_f
-    lg_norm = complex(complex_loggamma(np.array([(1 + a) / 4]))[0]
-                      + complex_loggamma(np.array([(1 - a) / 4]))[0])
+    lg = (loggamma((2 * s + 1 + a) / 4) + loggamma((2 * s + 1 - a) / 4)
+          - 2.0 * loggamma((1 + a) / 4).real)
+    return np.exp(lg) / s
+
+
+def _v2_integrand(x: float, T_f: float):
     L = math.log(math.pi * x)
 
     def fun(s):
-        lg = (complex_loggamma((2 * s + 1 + a) / 4)
-              + complex_loggamma((2 * s + 1 - a) / 4) - lg_norm)
-        return np.exp(lg - s * L) / s
+        return _v2_kernel(s, T_f) * np.exp(-s * L)
     return fun
 
 
 def _v2_tail_bound(x: float, T_f: float, c: float):
     a = 2 * abs(T_f)
-    denom = abs(complex_gamma((1 + 2j * T_f) / 4)) ** 2
+    denom = math.exp(2.0 * loggamma((1 + 2j * T_f) / 4).real)
 
     def bound(H):
         if H <= a + 8:
@@ -407,10 +352,6 @@ def default_bump() -> TestFunction:
     return TestFunction()
 
 
-def mellin(psi: TestFunction, s, tol: float = 1e-12):
-    return psi.mellin(s, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # Voronoi kernels G+- and Psi+-
 
@@ -426,10 +367,10 @@ def g_pm(s, T_f: float, sign: int):
     a = 1j * T_f
 
     def ratio(shift):
-        lg = (complex_loggamma((1 + s_flat + a + shift) / 2)
-              + complex_loggamma((1 + s_flat - a + shift) / 2)
-              - complex_loggamma((-s_flat + a + shift) / 2)
-              - complex_loggamma((-s_flat - a + shift) / 2))
+        lg = (loggamma((1 + s_flat + a + shift) / 2)
+              + loggamma((1 + s_flat - a + shift) / 2)
+              - loggamma((-s_flat + a + shift) / 2)
+              - loggamma((-s_flat - a + shift) / 2))
         return np.exp(lg)
 
     val = (ratio(0.0) + sign * ratio(1.0)) / TWO_PI
@@ -468,34 +409,67 @@ def _mellin_separable(rule, sigma: float, mid: np.ndarray,
             @ (np.exp(-1j * np.outer(lx, off)) * b[:, None]))
 
 
-@lru_cache(maxsize=16)
-def _psi_height_table(sigma: float, T_f: float, sign: int):
-    """Tail integrals of |G(sigma+it) psi~(-sigma-it)| as a function of height.
+@lru_cache(maxsize=32)
+def _bump_mellin_line(C: float, n_fft: int = 1 << 20, pad: int = 64):
+    """|psi~(-C - i t)| for the canonical bump, sampled on an FFT frequency grid.
 
-    Returns (t_grid, tail) with tail[i] = integral from t_grid[i] to infinity.
-    The bump transform is taken from its FFT line down to the numerical floor
-    and continued beyond it by the measured stretched-exponential decay
-    (softened by 0.8) under a measured kernel envelope.
+    In the log variable v = log x the Mellin transform along the vertical line
+    Re s = -C is a plain Fourier integral of the smooth, compactly supported
+    profile psi(e^v) e^{-C v}, so one zero-padded FFT delivers the whole line
+    with spectral accuracy.  Returns (t, |psi~(-C-it)|, slope, a2) for t >= 0
+    up to the last sample above the double-precision floor, t[-1]; beyond it
+    |psi~| is taken to decay like a2 exp(-slope (sqrt t - sqrt t[-1])), with
+    slope measured between t[-1] / 4 and t[-1].  The arrays are read-only.
     """
-    t, aF = _bump_mellin_line(sigma)
+    psi = default_bump()
+    L = pad * math.log(2.0)
+    h = L / n_fft
+    v = np.arange(n_fft) * h
+    g = np.zeros(n_fft)
+    m = v < math.log(2.0)
+    g[m] = psi(np.exp(v[m])) * np.exp(-C * v[m])
+    aF = np.abs(h * np.fft.rfft(g))
+    t = np.arange(aF.size) * (TWO_PI / L)
     floor = max(1e-14 * float(aF.max()), 1e-16)
-    above = np.nonzero(aF > floor)[0]
-    cut = int(above.max())
-    tt = t[: cut + 1]
-    gv = np.abs(g_pm(sigma + 1j * tt, T_f, sign))
-    body = gv * aF[: cut + 1]
+    cut = int(np.nonzero(aF > floor)[0].max())
     i1 = int(np.searchsorted(t, 0.25 * t[cut]))
+    # windowed maxima so the slope is fit to the envelope of |psi~|, not to
+    # one of its near-zeros
     w = 60
     a1 = float(np.max(aF[max(0, i1 - w): i1 + w]))
     a2 = float(np.max(aF[max(0, cut - w): cut + 1]))
     slope = (math.log(a1) - math.log(a2)) / (math.sqrt(t[cut]) - math.sqrt(t[i1]))
-    a_safe = 0.8 * slope
-    env = 1.05 * float(np.max(gv / (1.0 + tt) ** (2 * sigma + 1)))
-    te = np.geomspace(t[cut], 400.0 * t[cut], 4001)[1:]
-    ext = (env * (1.0 + te) ** (2 * sigma + 1)
-           * a2 * np.exp(-a_safe * (np.sqrt(te) - math.sqrt(t[cut]))))
-    tg = np.concatenate([tt, te])
-    vals = np.concatenate([body, ext])
+    tt, aF = t[: cut + 1].copy(), aF[: cut + 1].copy()
+    tt.flags.writeable = aF.flags.writeable = False
+    return tt, aF, slope, a2
+
+
+def _psi_line(C: float, T_f: float, sign: int):
+    """(tt, body, te, ext): |G(C+it) psi~(-C-it)| on the FFT line up to the
+    floor of psi~, and its extrapolated tail on te from tt[-1] to 400 tt[-1].
+
+    The tail is empirical: the measured stretched-exponential decay of psi~
+    (softened by 0.8) under the kernel envelope t^(2C+1) measured on the
+    same line (with 5% margin)."""
+    tt, aF, slope, a2 = _bump_mellin_line(C)
+    gv = np.abs(g_pm(C + 1j * tt, T_f, sign))
+    env = 1.05 * float(np.max(gv / (1.0 + tt) ** (2 * C + 1)))
+    te = np.geomspace(tt[-1], 400.0 * tt[-1], 4001)
+    ext = (env * (1.0 + te) ** (2 * C + 1)
+           * a2 * np.exp(-0.8 * slope * (np.sqrt(te) - math.sqrt(tt[-1]))))
+    return tt, gv * aF, te, ext
+
+
+@lru_cache(maxsize=16)
+def _psi_height_table(sigma: float, T_f: float, sign: int):
+    """Tail integrals of |G(sigma+it) psi~(-sigma-it)| as a function of height.
+
+    Returns (t_grid, tail) with tail[i] = integral from t_grid[i] to infinity,
+    over the FFT line and its empirical extrapolation (_psi_line).
+    """
+    tt, body, te, ext = _psi_line(sigma, T_f, sign)
+    tg = np.concatenate([tt, te[1:]])
+    vals = np.concatenate([body, ext[1:]])
     seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(tg)
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     return tg, tail
@@ -570,21 +544,8 @@ def _abs_line_integral(fun_abs, c: float, rel: float = 1e-3) -> float:
 @lru_cache(maxsize=8)
 def v2_decay_ladder(T_f: float) -> tuple:
     """(C, B_C) pairs with |V2(x)| <= B_C * (pi x)^{-C} from shifting right to Re s = C."""
-    a = 2j * T_f
-    lg_norm = complex(complex_loggamma(np.array([(1 + a) / 4]))[0]
-                      + complex_loggamma(np.array([(1 - a) / 4]))[0])
-
-    def make_abs(C):
-        def fun_abs(s):
-            lg = (complex_loggamma((2 * s + 1 + a) / 4)
-                  + complex_loggamma((2 * s + 1 - a) / 4) - lg_norm)
-            return np.abs(np.exp(lg) / s)
-        return fun_abs
-
-    out = []
-    for C in _LADDER_CS:
-        out.append((C, _abs_line_integral(make_abs(C), C)))
-    return tuple(out)
+    return tuple((C, _abs_line_integral(lambda s: np.abs(_v2_kernel(s, T_f)), C))
+                 for C in _LADDER_CS)
 
 
 def v2_bound(x: float, T_f: float) -> float:
@@ -606,27 +567,6 @@ def v1_bound(x: float) -> float:
 _PSI_LADDER_CS = (-0.9, -0.5, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0)
 
 
-@lru_cache(maxsize=32)
-def _bump_mellin_line(C: float, n_fft: int = 1 << 20, pad: int = 64):
-    """|psi~(-C - i t)| for the canonical bump, sampled on an FFT frequency grid.
-
-    In the log variable v = log x the Mellin transform along the vertical line
-    Re s = -C is a plain Fourier integral of the smooth, compactly supported
-    profile psi(e^v) e^{-C v}, so one zero-padded FFT delivers the whole line
-    with spectral accuracy.  Returns (t, |psi~(-C-it)|) for t >= 0.
-    """
-    psi = default_bump()
-    L = pad * math.log(2.0)
-    h = L / n_fft
-    v = np.arange(n_fft) * h
-    g = np.zeros(n_fft)
-    m = v < math.log(2.0)
-    g[m] = psi(np.exp(v[m])) * np.exp(-C * v[m])
-    F = h * np.fft.rfft(g)
-    t = np.arange(F.size) * (TWO_PI / L)
-    return t, np.abs(F)
-
-
 @lru_cache(maxsize=8)
 def psi_decay_ladder(T_f: float, sign: int) -> tuple:
     """(C, B_C) with |Psi_{+-}(x)| <= B_C (pi^2 x)^{-C}.
@@ -634,37 +574,14 @@ def psi_decay_ladder(T_f: float, sign: int) -> tuple:
     B_C = (1/2 pi) integral over the line Re s = C of |G(s) psi~(-s)|.  The
     kernel grows like t^{2C+1} while psi~ decays like exp(-a sqrt(t)), so the
     integrand is integrated out to where psi~ meets its double-precision
-    floor; the remainder is covered by extrapolating the measured
-    stretched-exponential decay (empirical, with a safety margin).
+    floor; the remainder is covered by the empirical extrapolation of
+    _psi_line, and the sum by a safety factor of 1.001.
     """
     out = []
     for C in _PSI_LADDER_CS:
-        t, aF = _bump_mellin_line(C)
-        floor = max(1e-14 * float(aF.max()), 1e-16)
-        above = np.nonzero(aF > floor)[0]
-        cut = int(above.max())
-        tt = t[: cut + 1]
-        gv = np.abs(g_pm(C + 1j * tt, T_f, sign))
-        vals = gv * aF[: cut + 1]
-        body = 2.0 * float(np.trapezoid(vals, tt)) / TWO_PI
-        # tail beyond the floor: measured decay slope of log|psi~| in sqrt(t),
-        # softened by 0.8, against a kernel envelope measured on the same line
-        i1 = int(np.searchsorted(t, 0.25 * t[cut]))
-        # windowed maxima so the slope is fit to the envelope of |psi~|, not
-        # to one of its near-zeros
-        w = 60
-        a1 = float(np.max(aF[max(0, i1 - w): i1 + w]))
-        a2 = float(np.max(aF[max(0, cut - w): cut + 1]))
-        slope = (math.log(a1) - math.log(a2)) / (
-            math.sqrt(t[cut]) - math.sqrt(t[i1]))
-        a_safe = 0.8 * slope
-        env = 1.05 * float(np.max(gv / (1.0 + tt) ** (2 * C + 1)))
-        te = np.geomspace(t[cut], 400.0 * t[cut], 4001)
-        tail_int = float(np.trapezoid(
-            env * (1.0 + te) ** (2 * C + 1)
-            * a2 * np.exp(-a_safe * (np.sqrt(te) - math.sqrt(t[cut]))), te))
-        tail = 2.0 * tail_int / TWO_PI
-        out.append((C, (body + tail) * 1.001))
+        tt, body, te, ext = _psi_line(C, T_f, sign)
+        out.append((C, (2.0 * float(np.trapezoid(body, tt)) / TWO_PI
+                        + 2.0 * float(np.trapezoid(ext, te)) / TWO_PI) * 1.001))
     return tuple(out)
 
 
@@ -750,15 +667,9 @@ def _v2_contour(xs: np.ndarray, T_f: float):
     c = spec.c
     H = _grow_height(_v2_tail_bound(float(xs.min()), T_f, c), spec.tol,
                      h0=2 * abs(T_f) + 20.0)
-    a = 2j * T_f
-    lg_norm = complex(complex_loggamma(np.array([(1 + a) / 4]))[0]
-                      + complex_loggamma(np.array([(1 - a) / 4]))[0])
 
     def kernel(mid, off):
-        s = c + 1j * (mid[:, None] + off[None, :])
-        lg = (complex_loggamma((2 * s + 1 + a) / 4)
-              + complex_loggamma((2 * s + 1 - a) / 4) - lg_norm)
-        return (np.exp(lg) / s)[None]
+        return _v2_kernel(c + 1j * (mid[:, None] + off[None, :]), T_f)[None]
 
     out, floor = _batch_line(math.pi, xs, c, H, spec.tol, kernel,
                              max(8, int(H / 6)), spec.max_panels, spec.gl_order)

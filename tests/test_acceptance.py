@@ -20,11 +20,10 @@ from lmoment.characters import (DirichletCharacter, build_modulus,
 from lmoment.expsums import (gauss_sum, gauss_sums_all, kloosterman_table,
                              weil_bound)
 from lmoment.hecke import additive_twist, mock_hecke_system
-from lmoment.lvalues import (WeightSpec, dirichlet_central_afe,
-                             dirichlet_central_oracle)
+from lmoment.lvalues import dirichlet_central_afe, dirichlet_central_oracle
 from lmoment.moment import prime_scan, twisted_moment
 from lmoment.voronoi import voronoi_check
-from lmoment.weights import psi_pm, v1, v2
+from lmoment.weights import WeightSpec, psi_pm, v1, v2
 
 
 def _report(num, name, ok, detail, elapsed, budget):

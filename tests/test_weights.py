@@ -1,38 +1,78 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as sp_gamma, gammaincc
+from scipy.special import gammaincc, loggamma
 
 from lmoment import weights
 from lmoment.errors import QuadratureFailure
 from lmoment.weights import (DEFAULT_V1, TestFunction, WeightSpec,
-                             complex_gamma, complex_loggamma, default_bump,
-                             default_psi_spec, default_v2_spec, g_pm, mellin,
-                             psi_bound, psi_pm, psi_pm_many, v1, v1_bound,
-                             v1_many, v2, v2_bound, v2_many, _mellin_dense,
-                             _mellin_rule, _mellin_separable, _phase_sum,
-                             _v2_piece)
+                             default_bump, default_psi_spec, default_v2_spec,
+                             g_pm, psi_bound, psi_pm, psi_pm_many, v1,
+                             v1_bound, v1_many, v2, v2_bound, v2_many,
+                             _mellin_dense, _mellin_rule, _mellin_separable,
+                             _phase_sum, _v2_piece)
 
 T_F = 13.7797513518907
 
 
-def test_complex_gamma_against_scipy():
-    rng = np.random.default_rng(0)
-    z = rng.uniform(0.1, 6, 40) + 1j * rng.uniform(-20, 20, 40)
-    ours = np.array([complex_gamma(complex(v)) for v in z]).ravel()
-    ref = sp_gamma(z)
-    assert np.max(np.abs(ours - ref) / np.abs(ref)) < 1e-12
+def test_loggamma_against_mpmath():
+    # scipy's loggamma at the arguments the kernels use, modulo 2 pi i (only
+    # exp of sums of loggamma values is ever taken): V2's (2s+1+-2iT)/4 at
+    # Re s = 0.5..1.6, and G+-'s (1+s+-iT+k)/2 and (-s+-iT+k)/2, k = 0, 1, at
+    # Re s = -0.9..14 and |Im s| <= 3000, which reach the left half-plane
+    def s_grid(re):
+        return np.array([complex(r, y) for r in re
+                         for y in (0.0, 7.3, -20.1, 95.0, -550.0, 3000.0)])
+    s = s_grid((0.5, 1.0, 1.6))
+    z = [(2 * s + 1 + 2j * T_F) / 4, (2 * s + 1 - 2j * T_F) / 4]
+    s = s_grid((-0.9, 0.0, 0.5, 2.0, 6.0, 14.0))
+    for k in (0, 1):
+        z += [(1 + s + 1j * T_F + k) / 2, (1 + s - 1j * T_F + k) / 2,
+              (-s + 1j * T_F + k) / 2, (-s - 1j * T_F + k) / 2]
+    z = np.concatenate(z + [np.array([-5.5 + 0.4j, -0.3 + 4j, -2.7 - 9j])])
+    got = loggamma(z)
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.loggamma(mpmath.mpc(v.real, v.imag)))
+                         for v in z])
+    d = got - want
+    d -= 2j * math.pi * np.round(d.imag / (2 * math.pi))
+    assert np.max(np.abs(d)) <= 1e-11
 
 
-def test_loggamma_reflection_left_half_plane():
-    # Gamma(z) Gamma(1-z) = pi / sin(pi z), probed through the reflection path
-    for z in (-0.3 + 4j, -2.7 - 9j, -5.5 + 0.4j):
-        lg = complex(np.atleast_1d(complex_loggamma(z))[0])
-        ref = complex(np.atleast_1d(complex_loggamma(1 - z))[0])
-        prod = np.exp(lg + ref)
-        want = math.pi / np.sin(math.pi * z)
-        assert abs(prod - want) / abs(want) < 1e-11
+def _v2_residue_series(x, T_f):
+    # V2(x) = 1 + sum of the residues of G(s) (pi x)^-s / s at the poles
+    # s_k = -(1+a)/2 - 2k and their conjugates, a = 2i T_f:
+    # 2 (-1)^k / k! Gamma(-a/2 - k) (pi x)^(-s_k) / (s_k G_norm); the terms
+    # grow like (pi x)^2k / k!^2 before they decay, hence 60 digits
+    with mpmath.workdps(60):
+        a = mpmath.mpc(0, 2 * T_f)
+        norm = mpmath.gamma((1 + a) / 4) * mpmath.gamma((1 - a) / 4)
+        px = mpmath.pi * mpmath.mpf(x)
+        gam = mpmath.gamma(-a / 2)
+        fact = mpmath.mpf(1)
+        total = mpmath.mpc(0)
+        k = 0
+        while True:
+            if k:
+                gam /= -a / 2 - k
+                fact *= k
+            s_k = -(1 + a) / 2 - 2 * k
+            term = 2 * (-1) ** k / fact * gam * mpmath.power(px, -s_k) / s_k
+            total += term
+            if k > px and abs(term) < mpmath.mpf(10) ** -40:
+                break
+            k += 1
+        return float(1 + 2 * mpmath.re(total / norm))
+
+
+def test_v2_matches_residue_series():
+    xs = np.array([1e-3, 0.1, 0.5, 1.0, 2.0])
+    want = np.array([_v2_residue_series(x, T_F) for x in xs])
+    scalar = np.array([v2(float(x), T_F) for x in xs])
+    assert np.max(np.abs(scalar - want)) <= 5e-14
+    assert np.max(np.abs(v2_many(xs, T_F) - want)) <= 5e-14
 
 
 def test_v1_closed_form():
@@ -161,18 +201,18 @@ def test_bump_profile_and_mellin():
     # Mellin at s=1 is the plain integral of the bump
     x = np.linspace(1.0, 2.0, 200001)
     direct = np.trapezoid(psi(x), x)
-    assert abs(mellin(psi, 1.0) - direct) < 1e-9
+    assert abs(psi.mellin(1.0) - direct) < 1e-9
     # integration-by-parts decay certificate is an actual upper bound
     bound = psi.mellin_line_bound(0.0, k=8)
     for t in (10.0, 40.0, 160.0):
-        assert abs(mellin(psi, 1j * t)) <= bound(t)
+        assert abs(psi.mellin(1j * t)) <= bound(t)
 
 
 def test_mellin_decay_is_stretched_exponential():
     # |psi~(it)| ~ exp(-a sqrt t) with a around 1.06; require at least 0.8
     psi = default_bump()
-    v40 = abs(mellin(psi, 1j * 40.0))
-    v640 = abs(mellin(psi, 1j * 640.0))
+    v40 = abs(psi.mellin(1j * 40.0))
+    v640 = abs(psi.mellin(1j * 640.0))
     assert v640 < v40 * math.exp(-0.8 * (math.sqrt(640) - math.sqrt(40)))
 
 
