@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaincc, loggamma
+from scipy.special import gamma as sp_gamma, gammaincc, loggamma
 
 from lmoment import weights
 from lmoment.errors import QuadratureFailure
@@ -40,6 +40,47 @@ def test_loggamma_against_mpmath():
     d -= 2j * math.pi * np.round(d.imag / (2 * math.pi))
     assert np.max(np.abs(d)) <= 1e-11
 
+
+def test_complex_gamma_against_scipy():
+    # the kernels take Gamma as exp(loggamma): against scipy's complex gamma
+    # on random points, then V2's gamma ratio against the same ratio built
+    # from scipy.special.gamma
+    rng = np.random.default_rng(0)
+    z = rng.uniform(0.1, 6, 40) + 1j * rng.uniform(-20, 20, 40)
+    ref = sp_gamma(z)
+    assert np.max(np.abs(np.exp(loggamma(z)) - ref) / np.abs(ref)) < 1e-12
+    s = np.array([complex(r, y) for r in (0.5, 1.0, 1.6)
+                  for y in (0.0, 7.3, -20.1, 40.0)])
+    a = 2j * T_F
+    want = (sp_gamma((2 * s + 1 + a) / 4) * sp_gamma((2 * s + 1 - a) / 4)
+            / (abs(sp_gamma((1 + a) / 4)) ** 2 * s))
+    got = weights._v2_kernel(s, T_F)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def test_loggamma_reflection_left_half_plane():
+    # Gamma(z) Gamma(1-z) = pi / sin(pi z) at left-half-plane points
+    for z in (-0.3 + 4j, -2.7 - 9j, -5.5 + 0.4j):
+        prod = np.exp(loggamma(z) + loggamma(1 - z))
+        want = math.pi / np.sin(math.pi * z)
+        assert abs(prod - want) / abs(want) < 1e-11
+    # G+- divides by Gamma((-s+-iT+k)/2), left of Re = 0 once Re s > k:
+    # rebuild it with 1/Gamma(w) = Gamma(1-w) sin(pi w) / pi, so that every
+    # loggamma argument lies in the right half-plane
+    s = np.array([complex(r, y) for r in (-0.9, 0.5, 2.0, 6.0, 14.0)
+                  for y in (0.0, 7.3, -20.1)])
+    b = 1j * T_F
+
+    def ratio(k):
+        c, d = (-s + b + k) / 2, (-s - b + k) / 2
+        lg = (loggamma((1 + s + b + k) / 2) + loggamma((1 + s - b + k) / 2)
+              + loggamma(1 - c) + loggamma(1 - d))
+        return np.exp(lg) * np.sin(math.pi * c) * np.sin(math.pi * d) / math.pi ** 2
+
+    scale = (np.abs(ratio(0.0)) + np.abs(ratio(1.0))) / (2 * math.pi)
+    for sign in (+1, -1):
+        want = (ratio(0.0) + sign * ratio(1.0)) / (2 * math.pi)
+        assert np.max(np.abs(g_pm(s, T_F, sign) - want) / scale) < 1e-12
 
 def _v2_residue_series(x, T_f):
     # V2(x) = 1 + sum of the residues of G(s) (pi x)^-s / s at the poles
