@@ -328,12 +328,17 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
         _require(args.workers >= 1, "--workers must be >= 1")
         _require(args.tol is None or args.tol > 0, "--tol must be positive")
+        _require(args.format != "csv" or args.command == "scan",
+                 "--format csv is only available for scan")
         if args.out:
             out_dir = os.path.dirname(os.path.abspath(args.out))
             _require(os.path.isdir(out_dir),
                      f"--out directory {out_dir} does not exist")
             _require(not os.path.isdir(args.out),
                      f"--out {args.out} is a directory")
+            target = args.out if os.path.exists(args.out) else out_dir
+            _require(os.access(target, os.W_OK),
+                     f"--out {args.out} is not writable")
         t0 = time.time()
         inputs, outputs, certs = _COMMANDS[args.command](args)
         elapsed_ms = 1000.0 * (time.time() - t0)
@@ -346,8 +351,6 @@ def run(argv=None) -> int:
             "runtime_ms": None,
         }
         if args.format == "csv":
-            _require(args.command == "scan",
-                     "--format csv is only available for scan")
             payload = _scan_csv(report)
         else:
             payload = json.dumps(report, sort_keys=True, indent=2,
@@ -368,7 +371,7 @@ def run(argv=None) -> int:
     except errors.NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

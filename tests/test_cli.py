@@ -112,6 +112,9 @@ def test_bad_arguments_fail_before_loading_data(tmp_path, capsys):
     _one_line_error(capsys, ["scan", "--qmin", "5", "--qmax", "20",
                              "--data", missing, "--out", str(out)], 1)
     _one_line_error(capsys, ["chars", "--q", "11", "--out", str(tmp_path)], 1)
+    err = _one_line_error(capsys, ["voronoi", "--q", "7", "--d", "1", "--N",
+                                   "50", "--data", missing, "--format", "csv"], 1)
+    assert "--format csv is only available for scan" in err
     # a composite modulus, and a d that q divides
     for argv in (["voronoi", "--q", "10", "--d", "1", "--N", "50"],
                  ["voronoi", "--q", "7", "--d", "7", "--N", "50"],
@@ -119,6 +122,28 @@ def test_bad_arguments_fail_before_loading_data(tmp_path, capsys):
         err = _one_line_error(capsys, argv + ["--data", missing], 1)
         assert err.startswith("usage error:")
     assert not out.parent.exists()
+
+
+def test_unwritable_out_fails_before_loading_data(tmp_path, capsys,
+                                                 monkeypatch):
+    # root bypasses file modes, so the writability test itself is faked;
+    # an existing --out is checked, and a new one by its directory
+    asked = []
+
+    def not_writable(path, mode):
+        asked.append(path)
+        return False
+
+    monkeypatch.setattr("lmoment.cli.os.access", not_writable)
+    existing = tmp_path / "old.json"
+    existing.write_text("{}")
+    for out in (existing, tmp_path / "new.json"):
+        err = _one_line_error(capsys, ["scan", "--qmin", "5", "--qmax", "20",
+                                       "--data", "/no/such/file",
+                                       "--out", str(out)], 1)
+        assert err.startswith("usage error:") and "not writable" in err
+    assert asked == [str(existing), str(tmp_path)]
+    assert existing.read_text() == "{}"
 
 
 def test_data_path_is_a_directory(tmp_path, capsys):

@@ -44,3 +44,60 @@ def test_oracle_diff_verdicts(tmp_path, capsys):
     assert "differ at q=[11]" in capsys.readouterr().out
 
     assert oracle_diff.main([old, _write(tmp_path / "short.json", rows[:1])]) == 1
+
+
+def _voronoi_doc(**certs):
+    doc = {"command": "voronoi", "inputs": {"q": 7, "d": 1, "N": 50},
+           "outputs": {"q": 7, "d": 1, "N": 50,
+                       "rhs": {"re": 0.25, "im": -0.5}, "residual": 8e-11,
+                       "rhs_truncation": 16000,
+                       "truncation_capped_at_reach": True,
+                       "negative_control": False},
+           "certificates": {"tail_certificate_plus": 3.2e-2,
+                            "tail_certificate_minus": 8.3e-8,
+                            "doubling_delta": 3.2e-12,
+                            "data_error_bound": 1.4e-7}}
+    doc["certificates"].update(certs)
+    return doc
+
+
+def test_oracle_diff_voronoi_verdicts(tmp_path, capsys):
+    def verdict(doc):
+        path = tmp_path / "new.json"
+        path.write_text(json.dumps(doc))
+        code = oracle_diff.main([str(old), str(path)])
+        return code, capsys.readouterr().out
+
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(_voronoi_doc()))
+
+    # rounding moves: the rhs in its last bits, doubling_delta (a difference
+    # of two partial sums of the rhs) by 1e-3 relative, a certificate down
+    same = _voronoi_doc(doubling_delta=3.203e-12, data_error_bound=1.3e-7)
+    same["outputs"]["rhs"]["re"] += 2e-12
+    same["outputs"]["residual"] += 3e-13
+    code, out = verdict(same)
+    assert code == 0 and "verdict: agree" in out
+    assert "|d rhs|: 2.00e-12" in out and "|d residual|: 3.00e-13" in out
+    assert "data_error_bound: 1.400000e-07 -> 1.300000e-07" in out
+
+    moved = _voronoi_doc()
+    moved["outputs"]["rhs"]["im"] += 1e-9
+    assert verdict(moved)[0] == 1
+    for key, value in (("rhs_truncation", 8000),
+                       ("truncation_capped_at_reach", False),
+                       ("negative_control", True)):
+        flipped = _voronoi_doc()
+        flipped["outputs"][key] = value
+        code, out = verdict(flipped)
+        assert code == 1 and f"{key}:" in out and "DIFFER" in out
+    code, out = verdict(_voronoi_doc(tail_certificate_minus=8.3e-8 * (1 + 1e-9)))
+    assert code == 1 and "GREW" in out
+    assert verdict(_voronoi_doc(doubling_delta=2e-10))[0] == 1
+    other_case = _voronoi_doc()
+    other_case["inputs"]["N"] = 100
+    assert verdict(other_case)[0] == 1
+
+    scan = tmp_path / "scan.json"
+    scan.write_text(json.dumps({"command": "scan", "outputs": {"rows": []}}))
+    assert oracle_diff.main([str(old), str(scan)]) == 2

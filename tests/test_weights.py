@@ -12,7 +12,7 @@ from lmoment.weights import (DEFAULT_V1, TestFunction, WeightSpec,
                              g_pm, psi_bound, psi_pm, psi_pm_many, v1,
                              v1_bound, v1_many, v2, v2_bound, v2_many,
                              _mellin_dense, _mellin_rule, _mellin_separable,
-                             _phase_sum, _v2_piece)
+                             _panel_grid, _phase_sum, _v2_piece)
 
 T_F = 13.7797513518907
 
@@ -192,37 +192,43 @@ def test_v2_table_history_independence():
 
 
 def test_separable_sums_match_dense(monkeypatch):
-    # the batch engine's phase e^{-iu m_p} e^{-iu h xi_k} and its Mellin
-    # factor against the dense forms, at the height and panel counts of the
-    # (7, 1, 50) dual sum; a small block size exercises the block edges
+    # the batch engine's two-level phase and its Mellin factor against the
+    # dense forms, on the engine's panel grid: at the height
+    # and panel counts of the (7, 1, 50) dual sum, and at the first levels
+    # of the V2 table; a small block size exercises the block edges, and a
+    # prime panel count a zero-padded last coarse row
     monkeypatch.setattr(weights, "_PHASE_BLOCK", 40)
     rng = np.random.default_rng(1)
     x0, _ = np.polynomial.legendre.leggauss(24)
-    u = np.linspace(-3.0, 13.0, 97)
     H = 1043.0
+    H_v2 = 2 * T_F + 20.0
 
-    def grid(panels):
-        edges = np.linspace(-H, H, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        off = 0.5 * (edges[1] - edges[0]) * x0
-        return mid, off, (mid[:, None] + off[None, :]).ravel()
+    def grid(H, panels):
+        mid, h = _panel_grid(H, panels)
+        return mid, h * x0, (mid[:, None] + h * x0[None, :]).ravel()
 
-    for panels in (340, 680, 1360):
-        mid, off, t = grid(panels)
-        w = (rng.standard_normal((2, panels, 24))
-             + 1j * rng.standard_normal((2, panels, 24)))
+    cases = [(H, panels, 2, np.linspace(-3.0, 13.0, 97))
+             for panels in (340, 680, 1360)]
+    cases += [(H_v2, panels, 1, np.log(math.pi * np.geomspace(1e-6, 14.4, 97)))
+              for panels in (8, 16, 37)]
+    for height, panels, rows, u in cases:
+        mid, off, t = grid(height, panels)
+        w = (rng.standard_normal((rows, panels, 24))
+             + 1j * rng.standard_normal((rows, panels, 24)))
         got = _phase_sum(u, mid, off, w)
         dense = np.exp(-1j * np.outer(u, t))
-        for j in range(2):
+        for j in range(rows):
             want = dense @ w[j].ravel()
             assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.sum(np.abs(w[j]))
-    # the dense Mellin form costs seconds a level; one level suffices
-    mid, off, t = grid(340)
+    # the dense Mellin form costs seconds a level; one level suffices, and
+    # a prime one crosses the padded coarse row
     rule = _mellin_rule(default_bump(), 1.001 * H, 1e-11)
-    for sigma in (0.0, 0.5):
-        got = _mellin_separable(rule, sigma, mid, off).ravel()
-        want = _mellin_dense(rule, -(sigma + 1j * t))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(rule[1]))
+    for panels in (37, 340):
+        mid, off, t = grid(H, panels)
+        for sigma in (0.0, 0.5):
+            got = _mellin_separable(rule, sigma, mid, off).ravel()
+            want = _mellin_dense(rule, -(sigma + 1j * t))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(rule[1]))
 
 
 def test_psi_batch_matches_scalar():

@@ -1,28 +1,49 @@
 #!/usr/bin/env python3
-"""Compare two `lmoment scan` JSON reports row by row.
+"""Compare two `lmoment scan` reports, or two `lmoment voronoi` reports.
 
     python tools/oracle_diff.py OLD.json NEW.json
 
-Prints the largest |delta ratio|, |delta L(1, f)| and relative |delta moment|
-over the moduli, and whether every modulus keeps the same witness set and
-count. Exits 0 when the reports agree, 1 when a ratio or L(1, f) moves by
-more than 1e-10, a witness set or count differs, or the moduli differ.
+Scan reports are compared row by row. The tool prints the largest
+|delta ratio|, |delta L(1, f)| and relative |delta moment| over the moduli,
+and whether every modulus keeps the same witness set and count. They agree
+unless a ratio or L(1, f) moves by more than 1e-10, a witness set or count
+differs, or the moduli differ.
+
+Voronoi reports are compared for one case. The tool prints |delta rhs|,
+|delta residual| and the relative move of each certificate. They agree when
+the case, rhs_truncation, truncation_capped_at_reach and negative_control are
+equal, |delta rhs| <= 1e-10, and no bound certificate (the two tail
+certificates and data_error_bound) grows by more than 1e-10 relative.
+doubling_delta is not a bound but the difference of two partial sums of the
+rhs, a few 1e-12 on real data, whose last bits move with any rounding of the
+rhs; its growth is held to the absolute 1e-10 of |delta rhs|.
+
+Exits 0 when the reports agree, 1 when they differ, and 2 when a file is not
+a scan or voronoi report or the two reports are of different commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 TOL = 1e-10
+VORONOI_FLAGS = ("rhs_truncation", "truncation_capped_at_reach",
+                 "negative_control")
+ABSOLUTE_CERTIFICATES = ("doubling_delta",)
 
 
-def _rows(path: str) -> dict:
+def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("command") != "scan":
-        raise SystemExit(f"{path}: not an lmoment scan report")
+    if doc.get("command") not in ("scan", "voronoi"):
+        raise ValueError(f"{path}: not an lmoment scan or voronoi report")
+    return doc
+
+
+def _rows(doc: dict) -> dict:
     return {row["q"]: row for row in doc["outputs"]["rows"]}
 
 
@@ -70,12 +91,61 @@ def compare(old: dict, new: dict) -> tuple[list[str], bool]:
     return lines, agree
 
 
+def _relative_move(a: float, b: float) -> float:
+    if a:
+        return (b - a) / abs(a)
+    return 0.0 if b == a else math.copysign(math.inf, b - a)
+
+
+def compare_voronoi(old: dict, new: dict) -> tuple[list[str], bool]:
+    """(report lines, agree) for two voronoi report documents."""
+    oo, no = old["outputs"], new["outputs"]
+    agree = old["inputs"] == new["inputs"]
+    lines = [f"case: q={oo['q']} d={oo['d']} N={oo['N']}"
+             + ("" if agree else f", new inputs {new['inputs']}")]
+    d_rhs = abs(complex(no["rhs"]["re"], no["rhs"]["im"])
+                - complex(oo["rhs"]["re"], oo["rhs"]["im"]))
+    lines += [f"|d rhs|: {d_rhs:.2e}",
+              f"|d residual|: {abs(no['residual'] - oo['residual']):.2e}"]
+    agree = agree and d_rhs <= TOL
+    for key in VORONOI_FLAGS:
+        same = oo[key] == no[key]
+        lines.append(f"{key}: {oo[key]} -> {no[key]}"
+                     + ("" if same else "  DIFFER"))
+        agree = agree and same
+    oc, nc = old["certificates"], new["certificates"]
+    for key in sorted(set(oc) | set(nc)):
+        if key not in oc or key not in nc:
+            lines.append(f"{key}: only in {'new' if key in nc else 'old'}")
+            agree = False
+            continue
+        a, b = oc[key], nc[key]
+        rel = _relative_move(a, b)
+        grew = (b - a > TOL if key in ABSOLUTE_CERTIFICATES else rel > TOL)
+        lines.append(f"{key}: {a:.6e} -> {b:.6e} (relative move {rel:+.2e})"
+                     + ("  GREW" if grew else ""))
+        agree = agree and not grew
+    lines.append("verdict: " + ("agree" if agree else "DIFFER"))
+    return lines, agree
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old")
     ap.add_argument("new")
     args = ap.parse_args(argv)
-    lines, agree = compare(_rows(args.old), _rows(args.new))
+    try:
+        old, new = _load(args.old), _load(args.new)
+        if old["command"] != new["command"]:
+            raise ValueError(f"cannot compare a {old['command']} report with "
+                             f"a {new['command']} report")
+    except ValueError as exc:
+        print(f"oracle_diff: {exc}", file=sys.stderr)
+        return 2
+    if old["command"] == "scan":
+        lines, agree = compare(_rows(old), _rows(new))
+    else:
+        lines, agree = compare_voronoi(old, new)
     print("\n".join(lines))
     return 0 if agree else 1
 
