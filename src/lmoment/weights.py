@@ -634,8 +634,8 @@ def _phase_sum(u: np.ndarray, mid: np.ndarray, off: np.ndarray,
 
 
 def _panel_grid(H: float, panels: int):
-    """(mid, h): midpoints mid_p = (2p + 1 - panels) h of [-H, H], with h =
-    H / panels rounded up to a multiple of 2^-30, so mid_p is exact (H < 2^23)."""
+    """(mid, h): midpoints (2p + 1 - panels) h of panels that cover [-H, H];
+    h is H / panels rounded up to k 2^-30, so each is exact for H < 2^23."""
     h = math.ceil(H / panels * 2.0 ** 30) / 2.0 ** 30
     return h * np.arange(1 - panels, panels, 2), h
 

@@ -193,10 +193,10 @@ def test_v2_table_history_independence():
 
 def test_separable_sums_match_dense(monkeypatch):
     # the batch engine's two-level phase and its Mellin factor against the
-    # dense forms, on the engine's panel grid: at the height
-    # and panel counts of the (7, 1, 50) dual sum, and at the first levels
-    # of the V2 table; a small block size exercises the block edges, and a
-    # prime panel count a zero-padded last coarse row
+    # dense forms, on the engine's panel grid: at the height and panel counts
+    # of the (7, 1, 50) dual sum, and at the first levels of the V2 table; a
+    # small block size crosses the block edges, and the prime panel count 37
+    # a zero-padded last coarse row
     monkeypatch.setattr(weights, "_PHASE_BLOCK", 40)
     rng = np.random.default_rng(1)
     x0, _ = np.polynomial.legendre.leggauss(24)
@@ -208,7 +208,7 @@ def test_separable_sums_match_dense(monkeypatch):
         return mid, h * x0, (mid[:, None] + h * x0[None, :]).ravel()
 
     cases = [(H, panels, 2, np.linspace(-3.0, 13.0, 97))
-             for panels in (340, 680, 1360)]
+             for panels in (37, 340, 680, 1360)]
     cases += [(H_v2, panels, 1, np.log(math.pi * np.geomspace(1e-6, 14.4, 97)))
               for panels in (8, 16, 37)]
     for height, panels, rows, u in cases:
