@@ -6,22 +6,31 @@ and panel counts are doubled until two refinements agree, which is the
 a-posteriori certificate demanded of every contour integral here.
 
 One batch engine, _batch_line, evaluates many arguments and kernel rows at
-once.  Its nodes t = m_p + h xi_k lie on an exact arithmetic grid, and
-_grid_phase splits the phase e^{-iut} in two levels, coarse panels and fine
-panels times nodes, for the phase sum and the bump's Mellin transform alike.
-It gives the Psi+- kernels of the dual sum (psi_pm_many) and builds the V2
-table: v2_many reads per-form Chebyshev pieces in log x over the dyadic
-intervals [2^j, 2^(j+1)], each fitted once to the engine and accepted only
-after an off-node check against it.  The dense scalar v1, v2 and psi_pm
-(line_integral) are the oracles the tests check the engine against.
+once.  Every kernel it takes satisfies Schwarz reflection, k(c - it) =
+conj k(c + it), so each integral is real, twice the real part of its upper
+half: the engine evaluates the kernel and the phase on the upper half of
+the panel grid only, and checks the reflection once per call on the
+mirrored first panel.  Its nodes t = m_p + h xi_k lie on an exact arithmetic
+grid, and _grid_phase splits the phase e^{-iut} in two levels, coarse panels
+and fine panels times nodes, for the phase sum and the bump's Mellin
+transform alike.  It gives the Psi+- kernels of the dual sum (psi_pm_many)
+and builds the V2 table: v2_many reads per-form Chebyshev pieces in log x
+over the dyadic intervals [2^j, 2^(j+1)], each fitted once to the engine and
+accepted only after an off-node check against it.  The dense scalar v1, v2
+and psi_pm (line_integral) are the oracles the tests check the engine
+against.
 
 V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
 
 Each weight's gamma factors are written once (_v2_kernel for V2, g_pm for
-G+-), from scipy.special.loggamma.  The bump's Mellin transform along a
-vertical line is sampled by FFT down to its double-precision floor, and one
-empirical stretched-exponential fit continues it beyond (_psi_line); both the
-Psi+- truncation heights and the Psi+- decay ladders read it.
+G+-), from scipy.special.loggamma.  G+- is taken in its closed form,
+2 pi G+-(s) = 4^(-s) Gamma(1+s+iT) Gamma(1+s-iT) (cosh(pi T) or
+-cos(pi s)) / pi, in log space: one loggamma pair serves both signs, nothing
+cancels, and values below the smallest normal double are an exact 0.  The
+bump's Mellin transform along a vertical line is sampled by FFT down to its
+double-precision floor, and one empirical stretched-exponential fit
+continues it beyond (_psi_line); both the Psi+- truncation heights and the
+Psi+- decay ladders read it.
 """
 
 from __future__ import annotations
@@ -356,25 +365,52 @@ def default_bump() -> TestFunction:
 # ---------------------------------------------------------------------------
 # Voronoi kernels G+- and Psi+-
 
-def g_pm(s, T_f: float, sign: int):
-    """G_{+-}(s), assembled from the two four-gamma ratio terms.
+# Below this, exp of a log value is subnormal or zero: such values are taken
+# as an exact 0, since subnormal kernel values slow every product they enter.
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
-    2*pi*G_{+-}(s) = ratio(s) +- ratio(s+1-shift form) exactly as the dual-sum
-    kernel requires; sign=+1 selects the plus kernel.
+
+def _exp_normal(lg):
+    """exp(lg), and an exact 0 where Re lg < _LOG_TINY."""
+    return np.where(lg.real < _LOG_TINY, 0.0, np.exp(lg))
+
+
+def _log_g_shared(s, T_f: float):
+    """log of 4^(-s) Gamma(1+s+iT) Gamma(1+s-iT) / (2 pi^2), the factor that
+    G_+ and G_- share."""
+    return (loggamma(1 + s + 1j * T_f) + loggamma(1 + s - 1j * T_f)
+            - s * math.log(4.0) - math.log(2.0 * math.pi ** 2))
+
+
+def _log_g_factor(s, T_f: float, sign: int):
+    """log cosh(pi T) for sign=+1, log(-cos(pi s)) for sign=-1.
+
+    -cos(pi s) = e^{i e pi (1 - s)} (1 + e^{2i e pi s}) / 2 with e the sign
+    of Im s, so the exponential under log1p never exceeds 1, where cos(pi s)
+    itself overflows past |Im s| ~ 225, and the value at conj s is the
+    conjugate of the value at s."""
+    if sign > 0:
+        T = abs(T_f)
+        return math.pi * T + math.log1p(math.exp(-TWO_PI * T)) - math.log(2.0)
+    e = np.where(s.imag < 0, -1.0, 1.0)
+    return (1j * math.pi * e * (1.0 - s) - math.log(2.0)
+            + np.log1p(np.exp(2j * math.pi * e * s)))
+
+
+def g_pm(s, T_f: float, sign: int):
+    """G_{+-}(s), the Voronoi kernel's gamma factor; sign=+1 selects the plus
+    kernel.
+
+    By reflection and duplication, 2 pi G_{+-}(s) = 4^(-s) Gamma(1+s+iT)
+    Gamma(1+s-iT) (cosh(pi T) for +, -cos(pi s) for -) / pi, taken in log
+    space: two loggamma calls, no cancellation, and an exact 0 where the
+    value is below the smallest normal double.  G(conj s) = conj G(s).
     """
     s_arr = np.asarray(s, dtype=complex)
     scalar = s_arr.ndim == 0
     s_flat = np.atleast_1d(s_arr)
-    a = 1j * T_f
-
-    def ratio(shift):
-        lg = (loggamma((1 + s_flat + a + shift) / 2)
-              + loggamma((1 + s_flat - a + shift) / 2)
-              - loggamma((-s_flat + a + shift) / 2)
-              - loggamma((-s_flat - a + shift) / 2))
-        return np.exp(lg)
-
-    val = (ratio(0.0) + sign * ratio(1.0)) / TWO_PI
+    val = _exp_normal(_log_g_shared(s_flat, T_f)
+                      + _log_g_factor(s_flat, T_f, sign))
     return complex(val[0]) if scalar else val
 
 
@@ -597,6 +633,11 @@ def psi_bound(x: float, T_f: float, sign: int) -> float:
 # Arguments per block: at 1360 panels, a 14.5 MB fused factor (1024 x 37 x 24).
 _PHASE_BLOCK = 1024
 
+# Quadrature weights w k below this are dropped.  Their products with the
+# phase factors would be subnormal, which slowed the (7, 1, 50) phase sums
+# 1.6-fold, and each is some 1e260 below any tolerance of a contour here.
+_NEGLIGIBLE = 1e-270
+
 
 def _fine_panels(panels: int) -> int:
     """Panels per coarse row of _grid_phase, ceil(sqrt(panels))."""
@@ -640,18 +681,40 @@ def _panel_grid(H: float, panels: int):
     return h * np.arange(1 - panels, panels, 2), h
 
 
+def _check_reflection(kernel, k: np.ndarray, mid: np.ndarray,
+                      off: np.ndarray) -> None:
+    """Raise QuadratureFailure unless kernel(c - it) = conj kernel(c + it) on
+    the first upper panel k = kernel(mid, off), to rounding: 1e-12 of each
+    row's largest value there.  The Gauss-Legendre offsets are symmetric, so
+    the mirrored panel's nodes are those of the first one, reversed."""
+    mirror = kernel(-mid[:1], off)[:, :, ::-1]
+    first = k[:, :1]
+    dev = np.max(np.abs(mirror - np.conj(first)), axis=(1, 2))
+    if np.any(dev > 1e-12 * np.max(np.abs(first), axis=(1, 2))):
+        raise QuadratureFailure(
+            "contour kernel fails Schwarz reflection; its integral is not "
+            "twice the real part of the upper half")
+
+
 def _batch_line(base: float, xs: np.ndarray, c: float, H: float, tol: float,
                 kernel, min_panels: int, max_panels: int,
                 gl_order: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """(1/2 pi) integral over t in [-H, H] of (base*x)^{-s} k_j(s) dt at
     s = c + it, for every kernel row k_j and every x in xs at once.
 
-    kernel(mid, off) returns k_j(c + i(mid_p + off_k)) as a (rows, panels,
-    gl_order) array, at the midpoints mid of _panel_grid and offsets h xi_k.
-    Panels double from min_panels until every value agrees with the previous
-    level within tol/2 plus its rounding floor 4e-15 sum|w k_j| (base x)^-c
-    / 2 pi.  Returns (values, floors), each of shape (rows, xs.size).
+    Every kernel satisfies Schwarz reflection, k_j(c - it) = conj k_j(c + it),
+    so the integral is 2 Re of its upper half, and only the upper half of
+    _panel_grid's symmetric midpoints is evaluated: kernel(mid, off) returns
+    k_j(c + i(mid_p + off_k)) as a (rows, panels, gl_order) array at those
+    midpoints mid > 0 and the offsets h xi_k.  Once per call the kernel is
+    checked on the mirrored first panel (_check_reflection).  Panel counts
+    are even; they double from min_panels until every value agrees with the
+    previous level within tol/2 plus its rounding floor, the full line's
+    4e-15 sum|w k_j| (base x)^-c / 2 pi = 8e-15 sum_{t>0} |w k_j| (base x)^-c
+    / 2 pi.  Returns (values, floors), real, each of shape (rows, xs.size).
     """
+    if min_panels % 2:
+        raise ValueError("panel counts must be even")
     x0, w0 = _gl_nodes(gl_order)
     lx = np.log(base * xs)
     pref = np.exp(-c * lx) / TWO_PI
@@ -659,10 +722,15 @@ def _batch_line(base: float, xs: np.ndarray, c: float, H: float, tol: float,
     prev = None
     while panels <= max_panels:
         mid, half = _panel_grid(H, panels)
+        mid = mid[panels // 2:]
         off = half * x0
-        wk = half * w0 * kernel(mid, off)
-        out = _phase_sum(lx, mid, off, wk) * pref
-        floor = 4e-15 * np.sum(np.abs(wk), axis=(1, 2))[:, None] * pref
+        k = kernel(mid, off)
+        if prev is None:
+            _check_reflection(kernel, k, mid, off)
+        wk = half * w0 * k
+        wk[np.abs(wk) < _NEGLIGIBLE] = 0.0
+        out = 2.0 * _phase_sum(lx, mid, off, wk).real * pref
+        floor = 8e-15 * np.sum(np.abs(wk), axis=(1, 2))[:, None] * pref
         if prev is not None and np.all(np.abs(out - prev) <= tol / 2 + floor):
             return out, floor
         prev = out
@@ -691,12 +759,11 @@ def _v2_contour(xs: np.ndarray, T_f: float):
     def kernel(mid, off):
         return _v2_kernel(c + 1j * (mid[:, None] + off[None, :]), T_f)[None]
 
+    # one doubling above max(8, H / 6), whose level never passed the check
     out, floor = _batch_line(math.pi, xs, c, H, spec.tol, kernel,
-                             max(8, int(H / 6)), spec.max_panels, spec.gl_order)
-    out, floor = out[0], floor[0]
-    if np.any(np.abs(out.imag) > spec.tol + floor):
-        raise QuadratureFailure("V2 batch imaginary residual exceeds tol")
-    return out.real, floor
+                             2 * max(8, int(H / 6)), spec.max_panels,
+                             spec.gl_order)
+    return out[0], floor[0]
 
 
 # A V2 table piece starts at this Chebyshev degree and doubles it, up to the
@@ -776,12 +843,13 @@ def v2_many(xs, T_f: float) -> np.ndarray:
 def psi_pm_many(xs, psi: TestFunction, T_f: float,
                 tol: float = DEFAULT_PSI_TOL,
                 sigma: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi_plus, Psi_minus) on an array of arguments: the two kernels are
-    the two rows of one batch contour integral at abscissa sigma, with one
-    Mellin node rule shared by all x and both signs."""
+    """(Psi_plus, Psi_minus) on an array of arguments, as real arrays: the
+    two kernels are the two rows of one batch contour integral at abscissa
+    sigma, with one Mellin node rule and one loggamma pair per node shared
+    by all x and both signs."""
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
-        return np.zeros(0, complex), np.zeros(0, complex)
+        return np.zeros(0), np.zeros(0)
     if np.any(xs <= 0):
         raise ValueError("arguments must be positive")
     if sigma < 0:
@@ -801,9 +869,13 @@ def psi_pm_many(xs, psi: TestFunction, T_f: float,
 
     def kernel(mid, off):
         s = sigma + 1j * (mid[:, None] + off[None, :])
+        lg = _log_g_shared(s, T_f)
         m = _mellin_separable(rule, sigma, mid, off)
-        return np.stack([g_pm(s, T_f, +1) * m, g_pm(s, T_f, -1) * m])
+        return np.stack([_exp_normal(lg + _log_g_factor(s, T_f, sign)) * m
+                         for sign in (+1, -1)])
 
+    # one doubling above the oscillation budget, whose level never passed the
+    # check on the dual-sum arguments; the cap stays that of the budget
     out, _ = _batch_line(math.pi ** 2, xs, sigma, H, tol, kernel,
-                         start, max(4096, 4 * start))
+                         2 * start, max(4096, 4 * start))
     return out[0], out[1]

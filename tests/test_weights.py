@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as sp_gamma, gammaincc, loggamma
 
 from lmoment import weights
@@ -17,17 +18,35 @@ from lmoment.weights import (DEFAULT_V1, TestFunction, WeightSpec,
 T_F = 13.7797513518907
 
 
+def _g_pm_four_gamma(s, T_f, sign):
+    # the oracle for g_pm: 2 pi G+- as the sum or difference of two
+    # four-gamma ratios, each about e^{pi |T - |Im s||} times |G+-| or more,
+    # so that G- cancels to rounding noise for |Im s| < T_f and G+ for
+    # |Im s| > T_f; it agrees with the closed form only away from those
+    s = np.asarray(s, dtype=complex)
+    a = 1j * T_f
+
+    def ratio(shift):
+        return np.exp(loggamma((1 + s + a + shift) / 2)
+                      + loggamma((1 + s - a + shift) / 2)
+                      - loggamma((-s + a + shift) / 2)
+                      - loggamma((-s - a + shift) / 2))
+    return (ratio(0.0) + sign * ratio(1.0)) / (2 * math.pi)
+
+
 def test_loggamma_against_mpmath():
     # scipy's loggamma at the arguments the kernels use, modulo 2 pi i (only
     # exp of sums of loggamma values is ever taken): V2's (2s+1+-2iT)/4 at
-    # Re s = 0.5..1.6, and G+-'s (1+s+-iT+k)/2 and (-s+-iT+k)/2, k = 0, 1, at
-    # Re s = -0.9..14 and |Im s| <= 3000, which reach the left half-plane
+    # Re s = 0.5..1.6, and G+-'s 1+s+-iT at Re s = -0.9..14 and
+    # |Im s| <= 3000; also the four-gamma oracle's (1+s+-iT+k)/2 and
+    # (-s+-iT+k)/2, k = 0, 1, which reach the left half-plane
     def s_grid(re):
         return np.array([complex(r, y) for r in re
                          for y in (0.0, 7.3, -20.1, 95.0, -550.0, 3000.0)])
     s = s_grid((0.5, 1.0, 1.6))
     z = [(2 * s + 1 + 2j * T_F) / 4, (2 * s + 1 - 2j * T_F) / 4]
     s = s_grid((-0.9, 0.0, 0.5, 2.0, 6.0, 14.0))
+    z += [1 + s + 1j * T_F, 1 + s - 1j * T_F]
     for k in (0, 1):
         z += [(1 + s + 1j * T_F + k) / 2, (1 + s - 1j * T_F + k) / 2,
               (-s + 1j * T_F + k) / 2, (-s - 1j * T_F + k) / 2]
@@ -64,9 +83,10 @@ def test_loggamma_reflection_left_half_plane():
         prod = np.exp(loggamma(z) + loggamma(1 - z))
         want = math.pi / np.sin(math.pi * z)
         assert abs(prod - want) / abs(want) < 1e-11
-    # G+- divides by Gamma((-s+-iT+k)/2), left of Re = 0 once Re s > k:
-    # rebuild it with 1/Gamma(w) = Gamma(1-w) sin(pi w) / pi, so that every
-    # loggamma argument lies in the right half-plane
+    # the four-gamma oracle divides by Gamma((-s+-iT+k)/2), left of Re = 0
+    # once Re s > k: rebuild it with 1/Gamma(w) = Gamma(1-w) sin(pi w) / pi,
+    # so that every loggamma argument lies in the right half-plane; the
+    # oracle and the closed-form g_pm must both match the rebuilt form
     s = np.array([complex(r, y) for r in (-0.9, 0.5, 2.0, 6.0, 14.0)
                   for y in (0.0, 7.3, -20.1)])
     b = 1j * T_F
@@ -80,7 +100,67 @@ def test_loggamma_reflection_left_half_plane():
     scale = (np.abs(ratio(0.0)) + np.abs(ratio(1.0))) / (2 * math.pi)
     for sign in (+1, -1):
         want = (ratio(0.0) + sign * ratio(1.0)) / (2 * math.pi)
-        assert np.max(np.abs(g_pm(s, T_F, sign) - want) / scale) < 1e-12
+        for got in (_g_pm_four_gamma(s, T_F, sign), g_pm(s, T_F, sign)):
+            assert np.max(np.abs(got - want) / scale) < 1e-12
+
+
+def test_g_pm_closed_form_against_mpmath():
+    # where the four-gamma form cancels: G- for |Im s| < T_f, G+ beyond it;
+    # 30-digit 4^-s Gamma(1+s+iT) Gamma(1+s-iT) (cosh(pi T) or -cos(pi s))
+    # / (2 pi^2).  Relative to |G|, or to |G / cos(pi s)| where
+    # |cos(pi s)| < 1, which covers the zero of G- at s = 1/2; at
+    # |Im s| = 1000 the two loggamma phases sum to about 1.2e4, whose
+    # spacing 1.8e-12 no double computation beats, so two spacings of that
+    # sum bound the error where they exceed 1e-12.  Below the smallest
+    # normal double, g_pm gives an exact 0.
+    cases = [(-1, 0.0), (-1, 1.0), (-1, 5.0), (-1, 1000.0), (+1, 30.0),
+             (+1, 60.0), (+1, 500.0)]
+    points = [(sign, complex(sig, t)) for sign, t in cases
+              for sig in (0.0, -0.9, 0.5, 14.0)] + [(-1, 8 + 1j)]
+    tiny = np.finfo(float).tiny
+    for sign, s in points:
+        with mpmath.workdps(30):
+            sm, T = mpmath.mpc(s.real, s.imag), mpmath.mpf(T_F)
+            shared = (mpmath.power(4, -sm) * mpmath.gamma(1 + sm + 1j * T)
+                      * mpmath.gamma(1 + sm - 1j * T) / (2 * mpmath.pi ** 2))
+            fac = (mpmath.cosh(mpmath.pi * T) if sign > 0
+                   else -mpmath.cos(mpmath.pi * sm))
+            want = complex(shared * fac)
+            scale = float(abs(shared) * max(abs(fac), 1))
+        got = g_pm(s, T_F, sign)
+        if abs(want) < tiny:
+            assert got == 0
+            continue
+        phase = sum(abs(loggamma(1 + s + b).imag) for b in (1j * T_F, -1j * T_F))
+        assert abs(got - want) <= max(1e-12, 2 * np.spacing(phase)) * scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sigma=st.floats(-0.9, 14.0),
+       t=st.floats(-400.0, 400.0).filter(lambda t: t != 0))
+def test_g_pm_reflection_property(sigma, t):
+    # G(conj s) = conj G(s), exactly: the half-line engine relies on it.  On
+    # the real axis conj s = s, and G is real only to rounding there
+    s = complex(sigma, t)
+    for sign in (+1, -1):
+        assert g_pm(s.conjugate(), T_F, sign) == np.conj(g_pm(s, T_F, sign))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sigma=st.floats(-0.9, 14.0), t=st.floats(0.0, 400.0),
+       conj=st.booleans())
+def test_g_pm_matches_four_gamma_where_it_does_not_cancel(sigma, t, conj):
+    # G+ for |t| <= T_f - 3 and G- for |t| >= T_f + 3, where the two ratios
+    # differ in size by e^{3 pi} or more; the loggamma phases reach 2.5e3 at
+    # |t| = 400, and their spacing 4.5e-13, shared by several terms, sets
+    # the bound (measured 2.1e-12 over 2e5 random points)
+    plus = t <= T_F - 3
+    if not plus:
+        t = T_F + 3 + t * (400.0 - T_F - 3) / 400.0
+    s = complex(sigma, -t if conj else t)
+    sign = +1 if plus else -1
+    want = complex(_g_pm_four_gamma(s, T_F, sign))
+    assert abs(g_pm(s, T_F, sign) - want) <= 1e-11 * abs(want)
 
 def _v2_residue_series(x, T_f):
     # V2(x) = 1 + sum of the residues of G(s) (pi x)^-s / s at the poles
@@ -229,6 +309,73 @@ def test_separable_sums_match_dense(monkeypatch):
             got = _mellin_separable(rule, sigma, mid, off).ravel()
             want = _mellin_dense(rule, -(sigma + 1j * t))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(rule[1]))
+
+
+def _reflecting_kernel(rng, rows, c):
+    # k_j(c + it) = sum_m a_jm e^{i b_jm t} / (1 + (t/40)^2) with real a, b,
+    # so that k_j(c - it) = conj k_j(c + it)
+    a = rng.standard_normal((rows, 5))
+    b = rng.uniform(-3.0, 3.0, (rows, 5))
+
+    def kernel(mid, off):
+        t = mid[:, None] + off[None, :]
+        waves = np.exp(1j * b[:, :, None, None] * t)
+        return np.einsum("jm,jmpk->jpk", a, waves) / (1 + (t / 40) ** 2)
+    return kernel
+
+
+def test_half_line_matches_full_line(monkeypatch):
+    # _batch_line sums the upper half of the panel grid and doubles its real
+    # part: against the dense sum over the full grid, at the height of the
+    # (7, 1, 50) dual sum with two rows (680 and 1360 panels) and at the V2
+    # table's height with one row (16 panels); an infinite tolerance accepts
+    # the second level, panels / 2 -> panels
+    monkeypatch.setattr(weights, "_PHASE_BLOCK", 40)
+    rng = np.random.default_rng(2)
+    x0, w0 = np.polynomial.legendre.leggauss(24)
+    cases = [(math.pi ** 2, 0.0, 1043.0, panels, 2,
+              np.arange(1, 98) * 50 / 49) for panels in (680, 1360)]
+    cases += [(math.pi, 0.5, 2 * T_F + 20.0, 16, 1,
+               np.geomspace(1e-6, 14.4, 97))]
+    for base, c, H, panels, rows, xs in cases:
+        kernel = _reflecting_kernel(rng, rows, c)
+        got, _ = weights._batch_line(base, xs, c, H, math.inf, kernel,
+                                     panels // 2, panels)
+        mid, h = _panel_grid(H, panels)
+        t = (mid[:, None] + h * x0[None, :]).ravel()
+        w = (h * w0 * kernel(mid, h * x0)).reshape(rows, -1)
+        pref = (base * xs) ** (-c) / (2 * math.pi)
+        dense = np.exp(-1j * np.outer(np.log(base * xs), t))
+        for j in range(rows):
+            want = (dense @ w[j]) * pref
+            assert np.max(np.abs(got[j] - want)) <= (
+                1e-13 * np.sum(np.abs(w[j])) * pref.max())
+
+
+def test_half_line_rejects_kernel_without_reflection():
+    kernel = _reflecting_kernel(np.random.default_rng(3), 1, 0.5)
+    xs = np.geomspace(1e-6, 14.4, 9)
+
+    def twisted(mid, off):
+        return np.exp(0.1j) * kernel(mid, off)
+    with pytest.raises(QuadratureFailure):
+        weights._batch_line(math.pi, xs, 0.5, 2 * T_F + 20.0, math.inf,
+                            twisted, 8, 16)
+
+
+def test_psi_accepted_panel_level(monkeypatch):
+    # the (7, 1, 50) dual sum, x = n 50/49 for n <= 16000, is accepted at
+    # 1360 panels over [-H, H], one doubling after the start of 680; each
+    # level evaluates the upper 680 / 2 and 1360 / 2 panels
+    levels = []
+    phase_sum = weights._phase_sum
+
+    def record(u, mid, off, wk):
+        levels.append(mid.size)
+        return phase_sum(u, mid, off, wk)
+    monkeypatch.setattr(weights, "_phase_sum", record)
+    psi_pm_many(np.arange(1, 16001) * 50 / 49, default_bump(), T_F)
+    assert sorted(set(levels)) == [340, 680]
 
 
 def test_psi_batch_matches_scalar():
