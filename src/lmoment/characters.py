@@ -70,19 +70,22 @@ def least_primitive_root(q: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """Prime q together with a primitive root and its full dlog table.
+    """Prime q together with a primitive root and its power and dlog tables.
 
-    dlog[x] = a with g^a = x mod q, for x in 1..q-1; dlog[0] = -1 sentinel.
-    roots[j] = e(j/(q-1)), the (q-1)-th roots of unity, precomputed so that
-    character values are taken from one shared table.
+    powers[j] = g^j mod q for j in 0..q-2, and dlog is its inverse
+    permutation: dlog[x] = a with g^a = x mod q, for x in 1..q-1; dlog[0] = -1
+    sentinel.  roots[j] = e(j/(q-1)), the (q-1)-th roots of unity, precomputed
+    so that character values are taken from one shared table.
     """
 
     q: int
     g: int
+    powers: np.ndarray = field(repr=False)
     dlog: np.ndarray = field(repr=False)
     roots: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.powers.setflags(write=False)
         self.dlog.setflags(write=False)
         self.roots.setflags(write=False)
 
@@ -93,13 +96,8 @@ class PrimeModulus:
     def inverse_table(self) -> np.ndarray:
         """inv[x] = x^{-1} mod q for x in 1..q-1 (inv[0] = 0)."""
         inv = np.zeros(self.q, dtype=np.int64)
-        powers = np.empty(self.q - 1, dtype=np.int64)
-        a = 1
-        for j in range(self.q - 1):
-            powers[j] = a
-            a = (a * self.g) % self.q
         # g^j -> g^{-j}
-        inv[powers] = powers[(-np.arange(self.q - 1)) % (self.q - 1)]
+        inv[self.powers] = self.powers[(-np.arange(self.q - 1)) % (self.q - 1)]
         return inv
 
 
@@ -111,13 +109,15 @@ def build_modulus(q: int) -> PrimeModulus:
     if not is_prime(q):
         raise CompositeModulus(f"modulus {q} is not prime")
     g = least_primitive_root(q)
-    dlog = np.full(q, -1, dtype=np.int64)
+    powers = np.empty(q - 1, dtype=np.int64)
     a = 1
     for j in range(q - 1):
-        dlog[a] = j
+        powers[j] = a
         a = (a * g) % q
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[powers] = np.arange(q - 1)
     roots = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
-    return PrimeModulus(q=q, g=g, dlog=dlog, roots=roots)
+    return PrimeModulus(q=q, g=g, powers=powers, dlog=dlog, roots=roots)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,7 @@ def _report_dict(rep) -> dict:
 
 
 def _cmd_moment(args):
+    _require(args.tol is None or args.tol > 0, "--tol must be positive")
     mod = build_modulus(args.q)
     f = _load_system(args)
     threshold = args.tol if args.tol is not None else 1e-6
@@ -184,6 +185,7 @@ def _dyadic_trend(reports) -> list:
 
 def _cmd_scan(args):
     _require(args.qmin <= args.qmax, "--qmin must not exceed --qmax")
+    _require(args.workers >= 1, "--workers must be >= 1")
     f = _load_system(args)
     reports = prime_scan(f, args.qmin, args.qmax, workers=args.workers)
     outputs = {
@@ -287,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the mock system")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance / threshold override")
 
     p = sub.add_parser("chars", help="character census and orthogonality")
     p.add_argument("--q", type=int, required=True)
@@ -307,10 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("moment", help="twisted moment at one modulus")
     p.add_argument("--q", type=int, required=True)
+    p.add_argument("--tol", type=float, default=None,
+                   help="witness threshold (default 1e-6)")
     common(p)
     p = sub.add_parser("scan", help="moment sweep over primes")
     p.add_argument("--qmin", type=int, required=True)
     p.add_argument("--qmax", type=int, required=True)
+    p.add_argument("--workers", type=int, default=1)
     common(p)
     p = sub.add_parser("voronoi", help="Voronoi identity check")
     p.add_argument("--q", type=int, required=True)
@@ -326,8 +328,6 @@ def run(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        _require(args.workers >= 1, "--workers must be >= 1")
-        _require(args.tol is None or args.tol > 0, "--tol must be positive")
         _require(args.format != "csv" or args.command == "scan",
                  "--format csv is only available for scan")
         if args.out:

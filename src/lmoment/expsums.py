@@ -35,13 +35,7 @@ def gauss_sums_all(mod: PrimeModulus) -> np.ndarray:
     With u[j] = e(g^j / q), tau(chi_k) = sum_j u[j] e(k j/(q-1)), which is the
     inverse-orientation DFT of u.
     """
-    q = mod.q
-    powers = np.empty(q - 1, dtype=np.int64)
-    a = 1
-    for j in range(q - 1):
-        powers[j] = a
-        a = (a * mod.g) % q
-    u = _e_q(powers, q)
+    u = _e_q(mod.powers, mod.q)
     # fft computes sum_j u[j] e(-kj/(q-1)); we want the +kj orientation
     return np.conj(np.fft.fft(np.conj(u)))
 

@@ -16,9 +16,13 @@ and fine panels times nodes, for the phase sum and the bump's Mellin
 transform alike.  It gives the Psi+- kernels of the dual sum (psi_pm_many)
 and builds the V2 table: v2_many reads per-form Chebyshev pieces in log x
 over the dyadic intervals [2^j, 2^(j+1)], each fitted once to the engine and
-accepted only after an off-node check against it.  The dense scalar v1, v2
-and psi_pm (line_integral) are the oracles the tests check the engine
-against.
+accepted only after an off-node check against it.
+
+The tests check the engine against oracles.  For V1 and V2 they are the
+dense scalar v1 and v2 (line_integral), whose abscissa c is their one
+setting.  For Psi+- it is the Bessel form, Psi+(x) = 4x cosh(pi T) int
+psi(y) K_2iT(4 pi sqrt(xy)) dy over [1, 2] and its J_2iT counterpart for
+Psi-, which the tests compute with mpmath and no code of this module.
 
 V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
 
@@ -36,7 +40,6 @@ Psi+- decay ladders read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,39 +69,22 @@ def gamma_line_bound(sigma: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature on a vertical segment
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Numerical realization of one contour-integral weight."""
+# Gauss-Legendre nodes per contour panel, and the panel cap of a V1 or V2
+# contour.
+_GL_ORDER = 24
+_MAX_PANELS = 4096
 
-    kind: str                  # V1 | V2 | PsiPlus | PsiMinus
-    c: float                   # contour abscissa
-    tol: float                 # target absolute accuracy
-    T_f: float = 0.0           # spectral parameter (unused for V1)
-    H: float | None = None     # truncation height; None = choose per call
-    gl_order: int = 24
-    max_panels: int = 4096
+# Target accuracy of V1 and V2: of the scalar oracles and the V2 table alike.
+_V_TOL = 1e-10
 
-    def __post_init__(self):
-        if self.kind in ("V1", "V2") and self.c <= 0:
-            raise ValueError("V-integrals need abscissa c > 0")
-        if self.kind in ("PsiPlus", "PsiMinus") and self.c <= -1:
-            raise ValueError("Psi integrals need abscissa > -1")
+# The abscissa of the V2 table, and the scalar v2's default: at c = 1 the
+# integrand carries (pi x)^-1, and for x = 1e-6 its cancellation costs 1.3e-9;
+# at c = 1/2 the engine stays within 2e-12 of V2's residue series from
+# x = 1e-6 to 14.4.
+_V2_C = 0.5
 
-
-DEFAULT_V1 = WeightSpec(kind="V1", c=1.0, tol=1e-10)
-DEFAULT_PSI_TOL = 1e-9
-
-
-def default_v2_spec(T_f: float) -> WeightSpec:
-    # at c = 1 the integrand carries (pi x)^-1, and for x = 1e-6 its
-    # cancellation costs 1.3e-9; at c = 1/2 the engine stays within 2e-12 of
-    # V2's residue series from x = 1e-6 to 14.4
-    return WeightSpec(kind="V2", c=0.5, tol=1e-10, T_f=T_f)
-
-
-def default_psi_spec(sign: int, T_f: float) -> WeightSpec:
-    return WeightSpec(kind="PsiPlus" if sign > 0 else "PsiMinus",
-                      c=0.0, tol=DEFAULT_PSI_TOL, T_f=T_f)
+# Target accuracy of the Psi+- kernels.
+_PSI_TOL = 1e-9
 
 
 @lru_cache(maxsize=16)
@@ -107,24 +93,22 @@ def _gl_nodes(order: int):
     return x, w
 
 
-def line_integral(fun, c: float, H: float, tol: float,
-                  gl_order: int = 24, max_panels: int = 4096,
-                  min_panels: int = 8) -> complex:
+def line_integral(fun, c: float, H: float, tol: float) -> complex:
     """(1/2*pi) * integral over t in [-H, H] of fun(c + i t) dt.
 
     This equals (1/2*pi*i) * integral of fun over the segment [c-iH, c+iH].
-    Composite Gauss-Legendre with panel doubling; two successive refinements
-    must agree within tol/2.
+    Composite Gauss-Legendre with panel doubling from 8 panels; two
+    successive refinements must agree within tol/2.
     """
-    x0, w0 = _gl_nodes(gl_order)
-    panels = min_panels
+    x0, w0 = _gl_nodes(_GL_ORDER)
+    panels = 8
     prev = None
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS:
         edges = np.linspace(-H, H, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         t = (mid[:, None] + half * x0[None, :]).ravel()
-        w = np.broadcast_to(half * w0[None, :], (panels, gl_order)).ravel()
+        w = np.broadcast_to(half * w0[None, :], (panels, _GL_ORDER)).ravel()
         fv = fun(c + 1j * t)
         val = np.sum(w * fv) / TWO_PI
         # rounding floor of the compensated-free sum; refinement cannot be
@@ -135,7 +119,7 @@ def line_integral(fun, c: float, H: float, tol: float,
         prev = val
         panels *= 2
     raise QuadratureFailure(
-        f"no convergence to tol={tol:g} within {max_panels} panels at c={c}, H={H}")
+        f"no convergence to tol={tol:g} within {_MAX_PANELS} panels at c={c}, H={H}")
 
 
 def _grow_height(tail_bound, tol: float, h0: float = 20.0, hmax: float = 6000.0) -> float:
@@ -171,16 +155,16 @@ def _v1_tail_bound(x: float, c: float):
     return bound
 
 
-def v1(x: float, spec: WeightSpec = DEFAULT_V1) -> float:
-    """V1(x): inverse Mellin of Gamma((2s+1)/4)/(Gamma(1/4) s) at (sqrt(pi) x)."""
-    if spec.kind != "V1":
-        raise ValueError("spec.kind must be V1")
+def v1(x: float, c: float = 1.0) -> float:
+    """V1(x): inverse Mellin of Gamma((2s+1)/4)/(Gamma(1/4) s) at (sqrt(pi) x),
+    on the contour Re s = c > 0."""
+    if c <= 0:
+        raise ValueError("V1 needs abscissa c > 0")
     if x <= 0:
         raise ValueError("x must be positive")
-    H = spec.H if spec.H is not None else _grow_height(_v1_tail_bound(x, spec.c), spec.tol)
-    val = line_integral(_v1_integrand(x), spec.c, H, spec.tol,
-                        spec.gl_order, spec.max_panels)
-    if abs(val.imag) > spec.tol:
+    H = _grow_height(_v1_tail_bound(x, c), _V_TOL)
+    val = line_integral(_v1_integrand(x), c, H, _V_TOL)
+    if abs(val.imag) > _V_TOL:
         raise QuadratureFailure(f"V1 imaginary residual {val.imag:.2e} exceeds tol")
     return val.real
 
@@ -217,18 +201,16 @@ def _v2_tail_bound(x: float, T_f: float, c: float):
     return bound
 
 
-def v2(x: float, T_f: float, spec: WeightSpec | None = None) -> float:
-    """V2(x): inverse Mellin of the two-gamma ratio for the twisted L-function."""
-    if spec is None:
-        spec = default_v2_spec(T_f)
-    if spec.kind != "V2":
-        raise ValueError("spec.kind must be V2")
+def v2(x: float, T_f: float, c: float = _V2_C) -> float:
+    """V2(x): inverse Mellin of the two-gamma ratio for the twisted L-function,
+    on the contour Re s = c > 0."""
+    if c <= 0:
+        raise ValueError("V2 needs abscissa c > 0")
     if x <= 0:
         raise ValueError("x must be positive")
-    H = spec.H if spec.H is not None else _grow_height(_v2_tail_bound(x, T_f, spec.c), spec.tol)
-    val = line_integral(_v2_integrand(x, T_f), spec.c, H, spec.tol,
-                        spec.gl_order, spec.max_panels)
-    if abs(val.imag) > spec.tol:
+    H = _grow_height(_v2_tail_bound(x, T_f, c), _V_TOL)
+    val = line_integral(_v2_integrand(x, T_f), c, H, _V_TOL)
+    if abs(val.imag) > _V_TOL:
         raise QuadratureFailure(f"V2 imaginary residual {val.imag:.2e} exceeds tol")
     return val.real
 
@@ -267,18 +249,14 @@ def _mellin_dense(rule, s) -> np.ndarray:
 class TestFunction:
     """Canonical smooth bump supported on [1,2].
 
-    psi(x) = exp(4 - 1/(u(1-u))), u = x-1, extended by zero.  Derivatives are
-    generated symbolically once and cached; their L1 norms feed the decay
-    certificates for the Mellin transform.
+    psi(x) = exp(4 - 1/(u(1-u))), u = x-1, extended by zero.  Each derivative
+    is generated symbolically when first asked for and cached; their L1 norms
+    feed the decay certificates for the Mellin transform.
     """
 
     support = (1.0, 2.0)
     name = "canonical_bump"
     __test__ = False
-
-    def __init__(self, n_derivs: int = 10):
-        self.n_derivs = n_derivs
-        self._derivs = None  # lazy sympy build
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -291,31 +269,16 @@ class TestFunction:
         res[inside] = out_in
         return float(res[0]) if x.ndim == 0 else res
 
-    def _build_derivs(self):
-        if self._derivs is not None:
-            return
-        import sympy as sp
-        xv = sp.symbols("x")
-        u = xv - 1
-        expr = sp.exp(4 - 1 / (u * (1 - u)))
-        funcs = []
-        cur = expr
-        for _ in range(self.n_derivs + 1):
-            funcs.append(sp.lambdify(xv, cur, modules="numpy"))
-            cur = sp.diff(cur, xv)
-        self._derivs = funcs
-
     def derivative(self, k: int, x):
         """k-th derivative of psi (0 outside the open support)."""
         if k == 0:
             return self(x)
-        self._build_derivs()
         x = np.asarray(x, dtype=float)
         xs = np.atleast_1d(x)
         res = np.zeros(xs.shape)
         inside = (xs > 1.0) & (xs < 2.0)
         if np.any(inside):
-            res[inside] = self._derivs[k](xs[inside])
+            res[inside] = _bump_derivative(k)(xs[inside])
         return float(res[0]) if x.ndim == 0 else res
 
     @lru_cache(maxsize=16)
@@ -355,6 +318,16 @@ class TestFunction:
             # |w (w+1) ... (w+k-1)| >= t^k
             return ck / t ** k if t > 0 else math.inf
         return bound
+
+
+@lru_cache(maxsize=16)
+def _bump_derivative(k: int):
+    """The k-th derivative of the bump's formula, lambdified for numpy."""
+    import sympy as sp
+    xv = sp.symbols("x")
+    u = xv - 1
+    return sp.lambdify(xv, sp.diff(sp.exp(4 - 1 / (u * (1 - u))), xv, k),
+                       modules="numpy")
 
 
 @lru_cache(maxsize=1)
@@ -510,50 +483,6 @@ def _psi_height_table(sigma: float, T_f: float, sign: int):
     return tg, tail
 
 
-def psi_pm(x: float, psi: TestFunction, T_f: float, sign: int,
-           spec: WeightSpec | None = None) -> complex:
-    """Psi_{+-}(x) = (1/2 pi i) * integral (pi^2 x)^{-s} G_{+-}(s) psi~(-s) ds.
-
-    The truncation height comes from a precomputed tail table of the
-    integrand envelope (the bump's Mellin transform decays like
-    exp(-c sqrt t), which no fixed integration-by-parts order captures).
-    """
-    if spec is None:
-        spec = default_psi_spec(sign, T_f)
-    if spec.kind not in ("PsiPlus", "PsiMinus"):
-        raise ValueError("spec.kind must be PsiPlus or PsiMinus")
-    want_sign = +1 if spec.kind == "PsiPlus" else -1
-    if want_sign != sign:
-        raise ValueError("spec.kind does not match sign")
-    if x <= 0:
-        raise ValueError("x must be positive")
-    sigma = spec.c
-    L = math.log(math.pi ** 2 * x)
-    pref = (math.pi ** 2 * x) ** (-sigma)
-
-    if spec.H is not None:
-        H = spec.H
-    else:
-        tg, tail = _psi_height_table(sigma, T_f, sign)
-        # discarded tail of the contour integral is below pref * 2*tail(H) / 2pi
-        ok = np.nonzero(pref * 2.0 * tail / TWO_PI < spec.tol / 10)[0]
-        if ok.size == 0:
-            raise QuadratureFailure("Psi integrand tail does not reach tolerance")
-        H = float(tg[int(ok.min())])
-
-    rule = _mellin_rule(psi, 1.001 * H, spec.tol / 100)
-
-    def fun(s):
-        return np.exp(-s * L) * g_pm(s, T_f, sign) * _mellin_dense(rule, -s)
-
-    # panel count from the oscillation budget of (pi^2 x)^{-it}
-    cycles = abs(L) * H / TWO_PI + H / 40.0
-    start = max(8, int(cycles / 6) + 4)
-    return line_integral(fun, sigma, H, spec.tol, spec.gl_order,
-                         max_panels=max(spec.max_panels, 4 * start),
-                         min_panels=start)
-
-
 # ---------------------------------------------------------------------------
 # certified power-decay bounds (contour-shift ladder)
 
@@ -697,15 +626,15 @@ def _check_reflection(kernel, k: np.ndarray, mid: np.ndarray,
 
 
 def _batch_line(base: float, xs: np.ndarray, c: float, H: float, tol: float,
-                kernel, min_panels: int, max_panels: int,
-                gl_order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+                kernel, min_panels: int,
+                max_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """(1/2 pi) integral over t in [-H, H] of (base*x)^{-s} k_j(s) dt at
     s = c + it, for every kernel row k_j and every x in xs at once.
 
     Every kernel satisfies Schwarz reflection, k_j(c - it) = conj k_j(c + it),
     so the integral is 2 Re of its upper half, and only the upper half of
     _panel_grid's symmetric midpoints is evaluated: kernel(mid, off) returns
-    k_j(c + i(mid_p + off_k)) as a (rows, panels, gl_order) array at those
+    k_j(c + i(mid_p + off_k)) as a (rows, panels, _GL_ORDER) array at those
     midpoints mid > 0 and the offsets h xi_k.  Once per call the kernel is
     checked on the mirrored first panel (_check_reflection).  Panel counts
     are even; they double from min_panels until every value agrees with the
@@ -715,7 +644,7 @@ def _batch_line(base: float, xs: np.ndarray, c: float, H: float, tol: float,
     """
     if min_panels % 2:
         raise ValueError("panel counts must be even")
-    x0, w0 = _gl_nodes(gl_order)
+    x0, w0 = _gl_nodes(_GL_ORDER)
     lx = np.log(base * xs)
     pref = np.exp(-c * lx) / TWO_PI
     panels = min_panels
@@ -751,18 +680,15 @@ def v1_many(xs) -> np.ndarray:
 def _v2_contour(xs: np.ndarray, T_f: float):
     """V2 and its rounding floor at every x in xs by one shared contour rule
     (the builder of the V2 table)."""
-    spec = default_v2_spec(T_f)
-    c = spec.c
-    H = _grow_height(_v2_tail_bound(float(xs.min()), T_f, c), spec.tol,
+    H = _grow_height(_v2_tail_bound(float(xs.min()), T_f, _V2_C), _V_TOL,
                      h0=2 * abs(T_f) + 20.0)
 
     def kernel(mid, off):
-        return _v2_kernel(c + 1j * (mid[:, None] + off[None, :]), T_f)[None]
+        return _v2_kernel(_V2_C + 1j * (mid[:, None] + off[None, :]), T_f)[None]
 
     # one doubling above max(8, H / 6), whose level never passed the check
-    out, floor = _batch_line(math.pi, xs, c, H, spec.tol, kernel,
-                             2 * max(8, int(H / 6)), spec.max_panels,
-                             spec.gl_order)
+    out, floor = _batch_line(math.pi, xs, _V2_C, H, _V_TOL, kernel,
+                             2 * max(8, int(H / 6)), _MAX_PANELS)
     return out[0], floor[0]
 
 
@@ -790,19 +716,19 @@ def _v2_piece(T_f: float, j: int) -> tuple[np.ndarray, float]:
 
     The degree-n nodes are the even points cos(pi k / 2n); the odd ones
     interleave them and are the check points.  A degree passes when its
-    deviation there is at most tol/2, the rule of panel doubling; only where
-    the engine's own rounding floor exceeds tol/2 (x below about 2e-8) does
-    the floor take its place.  Each piece is built once per (T_f, j) from
-    its own nodes, so no value depends on which arguments were asked first.
+    deviation there is at most _V_TOL/2, the rule of panel doubling; only
+    where the engine's own rounding floor exceeds _V_TOL/2 (x below about
+    2e-8) does the floor take its place.  Each piece is built once per
+    (T_f, j) from its own nodes, so no value depends on which arguments were
+    asked first.
     """
-    tol = default_v2_spec(T_f).tol
     n = _V2_DEGREE0
     while n <= _V2_DEGREE_CAP:
         s = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
         vals, floor = _v2_contour(2.0 ** (j + 0.5 * (s + 1.0)), T_f)
         coef = _cheb_coeffs(vals[::2])
         dev = np.abs(np.polynomial.chebyshev.chebval(s[1::2], coef) - vals[1::2])
-        if np.all(dev <= np.maximum(tol / 2, floor[1::2])):
+        if np.all(dev <= np.maximum(_V_TOL / 2, floor[1::2])):
             coef.flags.writeable = False
             return coef, float(dev.max())
         n *= 2
@@ -841,7 +767,6 @@ def v2_many(xs, T_f: float) -> np.ndarray:
 
 
 def psi_pm_many(xs, psi: TestFunction, T_f: float,
-                tol: float = DEFAULT_PSI_TOL,
                 sigma: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(Psi_plus, Psi_minus) on an array of arguments, as real arrays: the
     two kernels are the two rows of one batch contour integral at abscissa
@@ -858,11 +783,11 @@ def psi_pm_many(xs, psi: TestFunction, T_f: float,
     H = 0.0
     for sign in (+1, -1):
         tg, tail = _psi_height_table(sigma, T_f, sign)
-        ok = np.nonzero(pref_max * 2.0 * tail / TWO_PI < tol / 10)[0]
+        ok = np.nonzero(pref_max * 2.0 * tail / TWO_PI < _PSI_TOL / 10)[0]
         if ok.size == 0:
             raise QuadratureFailure("Psi integrand tail does not reach tolerance")
         H = max(H, float(tg[int(ok.min())]))
-    rule = _mellin_rule(psi, 1.001 * H, tol / 100)
+    rule = _mellin_rule(psi, 1.001 * H, _PSI_TOL / 100)
     Lmax = float(np.max(np.abs(np.log(math.pi ** 2 * xs))))
     cycles = Lmax * H / TWO_PI + H / 40.0
     start = max(8, int(cycles / 6) + 4)
@@ -876,6 +801,6 @@ def psi_pm_many(xs, psi: TestFunction, T_f: float,
 
     # one doubling above the oscillation budget, whose level never passed the
     # check on the dual-sum arguments; the cap stays that of the budget
-    out, _ = _batch_line(math.pi ** 2, xs, sigma, H, tol, kernel,
+    out, _ = _batch_line(math.pi ** 2, xs, sigma, H, _PSI_TOL, kernel,
                          2 * start, max(4096, 4 * start))
     return out[0], out[1]

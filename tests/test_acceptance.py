@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy.special import gammaincc
 
+from bessel_oracle import psi_bessel
 from lmoment.characters import (DirichletCharacter, build_modulus,
                                 even_primitive_indices, primes_in_range,
                                 primitive_pair_sum)
@@ -23,7 +24,7 @@ from lmoment.hecke import additive_twist, mock_hecke_system
 from lmoment.lvalues import dirichlet_central_afe, dirichlet_central_oracle
 from lmoment.moment import prime_scan, twisted_moment
 from lmoment.voronoi import voronoi_check
-from lmoment.weights import WeightSpec, psi_pm, v1, v2
+from lmoment.weights import default_bump, psi_pm_many, v1, v2
 
 
 def _report(num, name, ok, detail, elapsed, budget):
@@ -97,28 +98,24 @@ def test_04_weight_closed_form(capsys):
             v1(float(x)) - float(gammaincc(0.25, math.pi * x * x))))
     worst_ab = 0.0
     for x in np.geomspace(0.05, 3.0, 20):
-        a = v1(float(x), WeightSpec(kind="V1", c=0.7, tol=1e-10))
-        b = v1(float(x), WeightSpec(kind="V1", c=1.6, tol=1e-10))
+        a = v1(float(x), c=0.7)
+        b = v1(float(x), c=1.6)
         worst_ab = max(worst_ab, abs(a - b) / (2e-10))
-        a = v2(float(x), T_f, WeightSpec(kind="V2", c=0.7, tol=1e-10, T_f=T_f))
-        b = v2(float(x), T_f, WeightSpec(kind="V2", c=1.6, tol=1e-10, T_f=T_f))
+        a = v2(float(x), T_f, c=0.7)
+        b = v2(float(x), T_f, c=1.6)
         worst_ab = max(worst_ab, abs(a - b) / (2e-10))
-    from lmoment.weights import default_bump, psi_pm_many
     psi = default_bump()
     xs = np.geomspace(0.5, 20.0, 20)
-    p0, m0 = psi_pm_many(xs, psi, T_f, tol=1e-9)
-    p5, m5 = psi_pm_many(xs, psi, T_f, tol=1e-9, sigma=0.5)
+    p0, m0 = psi_pm_many(xs, psi, T_f)
+    p5, m5 = psi_pm_many(xs, psi, T_f, sigma=0.5)
     worst_ab = max(worst_ab,
                    float(np.max(np.abs(p0 - p5))) / 2e-9,
                    float(np.max(np.abs(m0 - m5))) / 2e-9)
-    # tie the scalar path to the shifted batch at spot points
+    # tie the batch to the Bessel form of Psi+- at spot points
     for i in (3, 12):
-        a = psi_pm(float(xs[i]), psi, T_f, +1,
-                   WeightSpec(kind="PsiPlus", c=0.5, tol=1e-9, T_f=T_f))
-        worst_ab = max(worst_ab, abs(a - p0[i]) / 2e-9)
-        b = psi_pm(float(xs[i]), psi, T_f, -1,
-                   WeightSpec(kind="PsiMinus", c=0.5, tol=1e-9, T_f=T_f))
-        worst_ab = max(worst_ab, abs(b - m0[i]) / 2e-9)
+        for sign, vals in ((+1, p0), (-1, m0)):
+            ref = psi_bessel(float(xs[i]), T_f, sign)
+            worst_ab = max(worst_ab, abs(ref - vals[i]) / 2e-9)
     ok = worst_cf <= 1e-10 and worst_ab <= 1.0
     with capsys.disabled():
         _report(4, "weight closed form and abscissa independence", ok,

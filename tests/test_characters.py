@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmoment.characters import (DirichletCharacter, build_modulus, char_value,
                                 characters, even_primitive_indices,
@@ -32,6 +33,25 @@ def test_build_modulus_errors():
         build_modulus(100)
     with pytest.raises(ModulusTooSmall):
         build_modulus(2)
+
+
+def test_power_table_inverts_dlog():
+    # dlog is the inverse permutation of the g^j table
+    for q in (3, 5, 101, 1999, 2203):
+        mod = build_modulus(q)
+        j = np.arange(q - 1)
+        assert np.array_equal(mod.dlog[mod.powers], j)
+        assert mod.powers[0] == 1 and np.all(mod.powers[1:] != 1)
+        assert np.array_equal((mod.powers[:-1] * mod.g) % q, mod.powers[1:])
+        assert mod.dlog[0] == -1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(q=st.sampled_from(primes_in_range(3, 1999)), k=st.integers(0, 10**6),
+       m=st.integers(0, 10**6), n=st.integers(0, 10**6))
+def test_character_multiplicative_property(q, k, m, n):
+    chi = DirichletCharacter(build_modulus(q), k % (q - 1))
+    assert abs(chi(m * n) - chi(m) * chi(n)) < 1e-12
 
 
 def test_character_values_multiplicative():

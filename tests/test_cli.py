@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +123,16 @@ def test_bad_arguments_fail_before_loading_data(tmp_path, capsys):
                  ["moment", "--q", "100"]):
         err = _one_line_error(capsys, argv + ["--data", missing], 1)
         assert err.startswith("usage error:")
+    # --workers belongs to scan and --tol to moment; no other command takes
+    # them, and each range is checked before the data
+    for argv, flag in ((["voronoi", "--q", "7", "--d", "1", "--N", "50",
+                         "--tol", "1e-3"], "--tol"),
+                       (["moment", "--q", "11", "--workers", "8"], "--workers"),
+                       (["scan", "--qmin", "5", "--qmax", "20", "--workers",
+                         "0"], "--workers"),
+                       (["moment", "--q", "11", "--tol", "0"], "--tol")):
+        err = _one_line_error(capsys, argv + ["--data", missing], 1)
+        assert err.startswith("usage error:") and flag in err
     assert not out.parent.exists()
 
 
@@ -150,3 +162,14 @@ def test_data_path_is_a_directory(tmp_path, capsys):
     err = _one_line_error(capsys, ["moment", "--q", "101",
                                    "--data", str(tmp_path)], 2)
     assert err.startswith("data error:")
+
+
+def test_cli_import_leaves_out_test_side_modules():
+    # mpmath, sympy and hypothesis serve the oracles and the bump's
+    # derivatives, perfbench the benchmark: importing the CLI loads none
+    code = ("import sys, lmoment.cli; print(' '.join(sorted(m for m in "
+            "('mpmath', 'sympy', 'hypothesis', 'perfbench') "
+            "if m in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == ""

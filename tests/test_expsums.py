@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmoment.characters import DirichletCharacter, build_modulus
+from lmoment.characters import (DirichletCharacter, build_modulus,
+                                primes_in_range)
 from lmoment.errors import NotCoprime
 from lmoment.expsums import (gauss_sum, gauss_sums_all, kloosterman,
                              kloosterman_table, ramanujan_sum, weil_bound)
@@ -15,6 +17,29 @@ def test_gauss_sum_modulus_squared():
         for k in range(1, q - 1):
             tau = gauss_sum(DirichletCharacter(mod, k))
             assert abs(abs(tau) ** 2 - q) < 1e-10
+
+
+_PRIMES = primes_in_range(3, 1999)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(q=st.sampled_from(_PRIMES), k=st.integers(0, 10**6))
+def test_gauss_sum_modulus_property(q, k):
+    # |tau(chi)|^2 = q for every nonprincipal chi mod a prime q
+    chi = DirichletCharacter(build_modulus(q), 1 + k % (q - 2))
+    assert abs(abs(gauss_sum(chi)) ** 2 - q) < 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(q=st.sampled_from(_PRIMES), a=st.integers(0, 10**6),
+       b=st.integers(0, 10**6))
+def test_kloosterman_symmetry_property(q, a, b):
+    # S(a, b; q) = S(b, a; q) = S(1, ab; q) for units a, b mod q
+    mod = build_modulus(q)
+    a, b = 1 + a % (q - 1), 1 + b % (q - 1)
+    s = kloosterman(a, b, mod)
+    assert abs(s - kloosterman(b, a, mod)) < 1e-9
+    assert abs(s - kloosterman(1, a * b % q, mod)) < 1e-9
 
 
 def test_gauss_sum_pair_identity():
