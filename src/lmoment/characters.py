@@ -109,11 +109,13 @@ def build_modulus(q: int) -> PrimeModulus:
     if not is_prime(q):
         raise CompositeModulus(f"modulus {q} is not prime")
     g = least_primitive_root(q)
-    powers = np.empty(q - 1, dtype=np.int64)
-    a = 1
-    for j in range(q - 1):
-        powers[j] = a
-        a = (a * g) % q
+    # g^(k+j) = g^k g^j: each pass doubles the known prefix; the products
+    # stay below q^2, exact in int64 for q < 3e9
+    powers = np.ones(q - 1, dtype=np.int64)
+    k = 1
+    while k < q - 1:
+        powers[k:2 * k] = powers[:min(k, q - 1 - k)] * pow(g, k, q) % q
+        k *= 2
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[powers] = np.arange(q - 1)
     roots = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))

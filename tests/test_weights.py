@@ -390,8 +390,8 @@ def test_bump_profile_and_mellin():
 
 
 def test_bump_derivative_l1():
-    # the L1 norm of psi^(8) behind the integration-by-parts bound, pinned
-    # to its value from sympy's order-8 derivative
+    # the L1 norm of psi^(8) that the integration-by-parts bound
+    # mellin_line_bound reads, from the derivative built for that order alone
     assert abs(default_bump().deriv_l1(8) / 24057240462.08824 - 1) < 1e-12
 
 
