@@ -89,10 +89,6 @@ class PrimeModulus:
         self.dlog.setflags(write=False)
         self.roots.setflags(write=False)
 
-    @property
-    def order(self) -> int:
-        return self.q - 1
-
     def inverse_table(self) -> np.ndarray:
         """inv[x] = x^{-1} mod q for x in 1..q-1 (inv[0] = 0)."""
         inv = np.zeros(self.q, dtype=np.int64)
@@ -177,11 +173,6 @@ def char_value(chi: DirichletCharacter, n: int) -> complex:
     return complex(mod.roots[(chi.k * mod.dlog[r]) % (mod.q - 1)])
 
 
-def characters(mod: PrimeModulus):
-    """All characters mod q in index order."""
-    return [DirichletCharacter(mod, k) for k in range(mod.q - 1)]
-
-
 def even_primitive_indices(mod: PrimeModulus) -> np.ndarray:
     """Indices of even primitive characters: even k, k != 0."""
     return np.arange(2, mod.q - 1, 2, dtype=np.int64)
@@ -199,12 +190,3 @@ def primitive_pair_sum(mod: PrimeModulus, n: int, m: int) -> complex:
     k = np.arange(1, q - 1)
     return complex(np.sum(mod.roots[(k * d) % (q - 1)]))
 
-
-def full_pair_sum(mod: PrimeModulus, n: int, m: int) -> complex:
-    """Sum over ALL chi mod q of chi(n) conj(chi(m)); q-1 if n = m mod q, else 0."""
-    q = mod.q
-    if (n * m) % q == 0:
-        raise NotCoprime(f"nm is divisible by q={q}")
-    d = (mod.dlog[n % q] - mod.dlog[m % q]) % (q - 1)
-    k = np.arange(0, q - 1)
-    return complex(np.sum(mod.roots[(k * d) % (q - 1)]))

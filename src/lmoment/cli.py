@@ -151,7 +151,8 @@ def _report_dict(rep) -> dict:
 
 
 def _cmd_moment(args):
-    _require(args.tol is None or args.tol > 0, "--tol must be positive")
+    _require(args.tol is None or 0 < args.tol < math.inf,
+             "--tol must be positive and finite")
     mod = build_modulus(args.q)
     f = _load_system(args)
     threshold = args.tol if args.tol is not None else 1e-6
@@ -330,6 +331,7 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
         _require(args.format != "csv" or args.command == "scan",
                  "--format csv is only available for scan")
+        _require(args.seed >= 0, "--seed must be nonnegative")
         if args.out:
             out_dir = os.path.dirname(os.path.abspath(args.out))
             _require(os.path.isdir(out_dir),

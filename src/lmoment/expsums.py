@@ -1,8 +1,10 @@
-"""Exact Gauss, Kloosterman and Ramanujan sums modulo a prime.
+"""Gauss and Kloosterman sums modulo a prime.
 
-Everything is computed by direct O(q) summation over the unit group; a bulk
+A Gauss sum is computed by direct O(q) summation over the unit group; a bulk
 DFT path over the discrete-log line is provided for sweeps and must agree
-with the direct path.
+with the direct path.  The Kloosterman table sums over the units once per
+product ab, and fills its degenerate row and column with the Ramanujan sums
+in closed form.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ import math
 import numpy as np
 
 from .characters import DirichletCharacter, PrimeModulus
-from .errors import NumericalError
-
-_IMAG_TOL = 1e-10
 
 
 def _e_q(a: np.ndarray, q: int) -> np.ndarray:
@@ -40,21 +39,6 @@ def gauss_sums_all(mod: PrimeModulus) -> np.ndarray:
     return np.conj(np.fft.fft(np.conj(u)))
 
 
-def kloosterman(a: int, b: int, mod: PrimeModulus) -> float:
-    """S(a,b;q) = sum over units x of e((a x + b xbar)/q); returned as a real.
-
-    The imaginary part cancels under x <-> -x; its residual is asserted
-    below 1e-10 and discarded.
-    """
-    q = mod.q
-    inv = mod.inverse_table()
-    x = np.arange(1, q)
-    s = complex(np.sum(_e_q(a * x + b * inv[x], q)))
-    if abs(s.imag) > _IMAG_TOL * max(1.0, abs(s.real)):
-        raise NumericalError(f"Kloosterman imaginary residual {s.imag:.3e} too large")
-    return s.real
-
-
 def kloosterman_table(mod: PrimeModulus) -> np.ndarray:
     """S(a,b;q) for all 0<=a,b<q via the reduction S(a,b) = S(1,ab) (x -> a^{-1}x).
 
@@ -77,20 +61,6 @@ def kloosterman_table(mod: PrimeModulus) -> np.ndarray:
     tab[:, 0] = np.where(np.arange(q) % q == 0, q - 1, -1)
     tab[0, 0] = q - 1
     return tab
-
-
-def ramanujan_sum(n: int, mod: PrimeModulus) -> int:
-    """Sum over units a of e(a n/q), rounded to the nearest integer.
-
-    Equals q-1 when q | n and -1 otherwise.
-    """
-    q = mod.q
-    a = np.arange(1, q)
-    s = complex(np.sum(_e_q(a * n, q)))
-    r = round(s.real)
-    if abs(s - r) > _IMAG_TOL:
-        raise NumericalError(f"Ramanujan sum residual {abs(s - r):.3e} too large")
-    return int(r)
 
 
 def weil_bound(mod: PrimeModulus) -> float:

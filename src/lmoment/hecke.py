@@ -35,15 +35,9 @@ class HeckeSystem:
     provenance: str
     coeff_cache: dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.coeff_cache.setdefault(1, 1.0)
-
     @property
     def is_mock(self) -> bool:
         return self.provenance == "mock"
-
-    def coefficient(self, n: int) -> float:
-        return coefficient(self, n)
 
     def coefficients_upto(self, N: int) -> np.ndarray:
         return coefficients_upto(self, N)
@@ -158,36 +152,6 @@ def _prime_power(f: HeckeSystem, p: int, k: int) -> float:
         prev2, prev1 = prev1, cur
     f.coeff_cache.setdefault(p, lam_p)
     return prev1
-
-
-def coefficient(f: HeckeSystem, n: int) -> float:
-    """lambda_f(n) by factoring n and applying recursion + multiplicativity."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    hit = f.coeff_cache.get(n)
-    if hit is not None:
-        return hit
-    m = n
-    val = 1.0
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            if p > f.P_max:
-                raise InsufficientData(
-                    f"prime factor {p} of n={n} exceeds data reach {f.P_max}")
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            val *= _prime_power(f, p, k)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        if m > f.P_max:
-            raise InsufficientData(
-                f"prime factor {m} of n={n} exceeds data reach {f.P_max}")
-        val *= f.prime_coeffs[m]
-    f.coeff_cache[n] = val
-    return val
 
 
 def coefficients_upto(f: HeckeSystem, N: int) -> np.ndarray:

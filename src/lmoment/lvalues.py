@@ -22,7 +22,7 @@ from .errors import (InsufficientData, OddCharacter, PoleError,
 from .expsums import gauss_sum
 from .hecke import HeckeSystem
 from .weights import (v1_bound, v1_many, v2_decay_ladder, v2_many,
-                      v2_table_delta)
+                      v2_table_error)
 
 HURWITZ_TOL = 1e-12
 
@@ -177,13 +177,11 @@ def afe2_err_estimate(f: HeckeSystem, q: int, N: int,
     coefficient-data contributions; abs_coef is the array
     |lambda(n) V2(n/q)| / sqrt(n) over the kept range.
 
-    The per-point V2 error is the contour tolerance 1e-10 plus delta, the
-    largest deviation of the V2 table from the contour engine.  delta is an
-    a-posteriori check, measured at off-node points of each table piece that
-    meets [1/q, N/q], not a proven bound."""
+    The per-point V2 error is the table's own, v2_table_error over
+    [1/q, N/q]: the contour tolerance plus an a-posteriori deviation."""
     n = np.arange(1, N + 1)
     tail = 2.0 * _v2_tail_certificate(N, q, f.T_f)
-    per_point = 1e-10 + v2_table_delta(f.T_f, 1.0 / q, N / q)
+    per_point = v2_table_error(f.T_f, 1.0 / q, N / q)
     quad = 2.0 * per_point * float(np.sum(2.0 * n ** 0.11 / np.sqrt(n)))
     return tail + quad + 2.0 * f.data_precision * float(np.sum(abs_coef))
 

@@ -1,5 +1,5 @@
-"""Twisted first moment over even primitive characters: assembly, cross-term
-decomposition, nonvanishing witnesses, and scans over prime moduli.
+"""Twisted first moment over even primitive characters: assembly, its four
+cross terms, nonvanishing witnesses, and scans over prime moduli.
 
 Everything reduces to sums of the form sum_m c_m chi_k(m) over all even
 primitive k at once. Bucketing c_m by the discrete logarithm of m mod q turns
@@ -22,7 +22,7 @@ from .errors import InsufficientData, ModulusTooSmall
 from .expsums import gauss_sums_all
 from .hecke import HeckeSystem, l_one
 from .lvalues import (afe1_cutoff, afe1_err_estimate, afe2_cutoff,
-                      afe2_err_estimate, hurwitz_zeta, v1_many, v2_many)
+                      afe2_err_estimate, v1_many, v2_many)
 
 CROSS_KEYS = ("S1S3", "S1S4", "S2S3", "S2S4")
 
@@ -85,7 +85,6 @@ class MomentReport:
     cutoffs: dict[str, int] = field(default_factory=dict)
     err_twist: float = 0.0
     err_dirichlet: float = 0.0
-    runtime_ms: float | None = None
 
 
 _L_ONE_CACHE: dict[tuple, float] = {}
@@ -162,39 +161,25 @@ def _branches(tab: _FamilyTables, q: int, k: np.ndarray):
     return s1, s2, s3, s4
 
 
-def _oracle_dirichlet_family(mod: PrimeModulus) -> np.ndarray:
-    """L(1/2, chi_k) for every k at once through the Hurwitz decomposition."""
-    q = mod.q
-    a = np.arange(1, q)
-    z = np.array([hurwitz_zeta(0.5, x / q) for x in a])
-    return _char_dft(mod, mod.dlog[a], z) / math.sqrt(q)
-
-
 def twisted_moment(f: HeckeSystem, mod: PrimeModulus,
                    witness_threshold: float = 1e-6,
-                   dirichlet_method: str = "afe",
                    l_one_value: float | None = None) -> MomentReport:
     """Sum of L(1/2, f x chi) L(1/2, conj chi) over even primitive chi mod q.
 
-    dirichlet_method "hurwitz" replaces the Dirichlet AFE factor with the
-    independent Hurwitz-zeta oracle (small q consistency checks).
+    Its witnesses are the chi with both |L(1/2, f x chi)| and |L(1/2, chi)|
+    above witness_threshold plus the respective error bars, sorted by the
+    smaller of the two magnitudes, descending, then by k, so that each
+    conjugate pair is adjacent with its smaller k first.
     """
     q = mod.q
     if q < 5:
         raise ModulusTooSmall(
             f"modulus {q} has no even primitive characters")
     tab = _family_tables(f, mod)
-    oracle = None
-    if dirichlet_method == "hurwitz":
-        oracle = _oracle_dirichlet_family(mod)
-    elif dirichlet_method != "afe":
-        raise ValueError(f"unknown dirichlet_method {dirichlet_method!r}")
 
     ks = even_primitive_indices(mod)
     s1, s2, s3, s4 = _branches(tab, q, ks)
-    # L(1/2, conj chi_k) sits at index q-1-k of the oracle family
-    dirichlet = s3 + s4 if oracle is None else oracle[q - 1 - ks]
-    moment = complex(np.sum((s1 + s2) * dirichlet))
+    moment = complex(np.sum((s1 + s2) * (s3 + s4)))
     cross = {"S1S3": complex(np.sum(s1 * s3)), "S1S4": complex(np.sum(s1 * s4)),
              "S2S3": complex(np.sum(s2 * s3)), "S2S4": complex(np.sum(s2 * s4))}
 
@@ -220,22 +205,6 @@ def twisted_moment(f: HeckeSystem, mod: PrimeModulus,
         l_one_value=lf1,
         cutoffs={"M_cut": tab.M_cut, "N_cut": tab.N_cut},
         err_twist=tab.err_twist, err_dirichlet=tab.err_dirichlet)
-
-
-def cross_term_decomposition(f: HeckeSystem, mod: PrimeModulus) -> dict[str, complex]:
-    """The four family sums S1S3, S1S4, S2S3, S2S4; they add up to the moment."""
-    return twisted_moment(f, mod).cross_terms
-
-
-def nonvanishing_search(f: HeckeSystem, mod: PrimeModulus,
-                        threshold: float) -> Witnesses:
-    """Even primitive chi with both |L(1/2, f x chi)| and |L(1/2, chi)|
-    above threshold plus the respective error bars; sorted by the smaller of
-    the two magnitudes, descending, then by k, so that each conjugate pair
-    is adjacent with its smaller k first."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    return twisted_moment(f, mod, witness_threshold=threshold).witnesses
 
 
 def _scan_one(args) -> MomentReport:

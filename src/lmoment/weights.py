@@ -18,11 +18,12 @@ and builds the V2 table: v2_many reads per-form Chebyshev pieces in log x
 over the dyadic intervals [2^j, 2^(j+1)], each fitted once to the engine and
 accepted only after an off-node check against it.
 
-The tests check the engine against oracles.  For V1 and V2 they are the
-dense scalar v1 and v2 (line_integral), whose abscissa c is their one
+The tests check the engine against oracles that share no code with this
+module.  For V1 and V2 they are dense scalar contour integrals with their
+own gamma ratio (tests/contour_oracle.py), whose abscissa c is their one
 setting.  For Psi+- it is the Bessel form, Psi+(x) = 4x cosh(pi T) int
 psi(y) K_2iT(4 pi sqrt(xy)) dy over [1, 2] and its J_2iT counterpart for
-Psi-, which the tests compute with mpmath and no code of this module.
+Psi-, which the tests compute with mpmath (tests/bessel_oracle.py).
 
 V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
 
@@ -48,7 +49,6 @@ from scipy.special import gammaincc, loggamma
 from .errors import QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
-SQRT_PI = math.sqrt(math.pi)
 
 # ---------------------------------------------------------------------------
 # vertical decay of the gamma function
@@ -69,18 +69,16 @@ def gamma_line_bound(sigma: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature on a vertical segment
 
-# Gauss-Legendre nodes per contour panel, and the panel cap of a V1 or V2
-# contour.
+# Gauss-Legendre nodes per contour panel, and the panel cap of a V2 contour.
 _GL_ORDER = 24
 _MAX_PANELS = 4096
 
-# Target accuracy of V1 and V2: of the scalar oracles and the V2 table alike.
+# Target accuracy of V2 at each point of its table (v2_table_error).
 _V_TOL = 1e-10
 
-# The abscissa of the V2 table, and the scalar v2's default: at c = 1 the
-# integrand carries (pi x)^-1, and for x = 1e-6 its cancellation costs 1.3e-9;
-# at c = 1/2 the engine stays within 2e-12 of V2's residue series from
-# x = 1e-6 to 14.4.
+# The abscissa of the V2 table: at c = 1 the integrand carries (pi x)^-1, and
+# for x = 1e-6 its cancellation costs 1.3e-9; at c = 1/2 the engine stays
+# within 2e-12 of V2's residue series from x = 1e-6 to 14.4.
 _V2_C = 0.5
 
 # Target accuracy of the Psi+- kernels.
@@ -91,35 +89,6 @@ _PSI_TOL = 1e-9
 def _gl_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
-
-
-def line_integral(fun, c: float, H: float, tol: float) -> complex:
-    """(1/2*pi) * integral over t in [-H, H] of fun(c + i t) dt.
-
-    This equals (1/2*pi*i) * integral of fun over the segment [c-iH, c+iH].
-    Composite Gauss-Legendre with panel doubling from 8 panels; two
-    successive refinements must agree within tol/2.
-    """
-    x0, w0 = _gl_nodes(_GL_ORDER)
-    panels = 8
-    prev = None
-    while panels <= _MAX_PANELS:
-        edges = np.linspace(-H, H, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        t = (mid[:, None] + half * x0[None, :]).ravel()
-        w = np.broadcast_to(half * w0[None, :], (panels, _GL_ORDER)).ravel()
-        fv = fun(c + 1j * t)
-        val = np.sum(w * fv) / TWO_PI
-        # rounding floor of the compensated-free sum; refinement cannot be
-        # expected to agree below it
-        floor = 4e-15 * float(np.sum(np.abs(w * fv))) / TWO_PI
-        if prev is not None and abs(val - prev) <= tol / 2 + floor:
-            return complex(val)
-        prev = val
-        panels *= 2
-    raise QuadratureFailure(
-        f"no convergence to tol={tol:g} within {_MAX_PANELS} panels at c={c}, H={H}")
 
 
 def _grow_height(tail_bound, tol: float, h0: float = 20.0, hmax: float = 6000.0) -> float:
@@ -133,41 +102,7 @@ def _grow_height(tail_bound, tol: float, h0: float = 20.0, hmax: float = 6000.0)
 
 
 # ---------------------------------------------------------------------------
-# V1 and V2
-
-def _v1_integrand(x: float):
-    lg_norm = math.lgamma(0.25)
-    L = math.log(SQRT_PI * x)
-
-    def fun(s):
-        return np.exp(loggamma((2 * s + 1) / 4) - lg_norm - s * L) / s
-    return fun
-
-
-def _v1_tail_bound(x: float, c: float):
-    g14 = math.gamma(0.25)
-
-    def bound(H):
-        # |Gamma((2c+1)/4 + it/2)| decays like e^{-pi t/4}
-        sig = (2 * c + 1) / 4
-        amp = (SQRT_PI * x) ** (-c) * gamma_line_bound(sig, H / 2) / (g14 * H)
-        return amp * (4 / math.pi) / TWO_PI
-    return bound
-
-
-def v1(x: float, c: float = 1.0) -> float:
-    """V1(x): inverse Mellin of Gamma((2s+1)/4)/(Gamma(1/4) s) at (sqrt(pi) x),
-    on the contour Re s = c > 0."""
-    if c <= 0:
-        raise ValueError("V1 needs abscissa c > 0")
-    if x <= 0:
-        raise ValueError("x must be positive")
-    H = _grow_height(_v1_tail_bound(x, c), _V_TOL)
-    val = line_integral(_v1_integrand(x), c, H, _V_TOL)
-    if abs(val.imag) > _V_TOL:
-        raise QuadratureFailure(f"V1 imaginary residual {val.imag:.2e} exceeds tol")
-    return val.real
-
+# V2
 
 def _v2_kernel(s, T_f: float):
     """Gamma((2s+1+2iT)/4) Gamma((2s+1-2iT)/4) / (norm s) at complex s, with
@@ -176,14 +111,6 @@ def _v2_kernel(s, T_f: float):
     lg = (loggamma((2 * s + 1 + a) / 4) + loggamma((2 * s + 1 - a) / 4)
           - 2.0 * loggamma((1 + a) / 4).real)
     return np.exp(lg) / s
-
-
-def _v2_integrand(x: float, T_f: float):
-    L = math.log(math.pi * x)
-
-    def fun(s):
-        return _v2_kernel(s, T_f) * np.exp(-s * L)
-    return fun
 
 
 def _v2_tail_bound(x: float, T_f: float, c: float):
@@ -199,20 +126,6 @@ def _v2_tail_bound(x: float, T_f: float, c: float):
                * gamma_line_bound(sig, (H - a) / 2) / (denom * H))
         return amp * (2 / math.pi) / TWO_PI
     return bound
-
-
-def v2(x: float, T_f: float, c: float = _V2_C) -> float:
-    """V2(x): inverse Mellin of the two-gamma ratio for the twisted L-function,
-    on the contour Re s = c > 0."""
-    if c <= 0:
-        raise ValueError("V2 needs abscissa c > 0")
-    if x <= 0:
-        raise ValueError("x must be positive")
-    H = _grow_height(_v2_tail_bound(x, T_f, c), _V_TOL)
-    val = line_integral(_v2_integrand(x, T_f), c, H, _V_TOL)
-    if abs(val.imag) > _V_TOL:
-        raise QuadratureFailure(f"V2 imaginary residual {val.imag:.2e} exceeds tol")
-    return val.real
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +163,9 @@ class TestFunction:
     """Canonical smooth bump supported on [1,2].
 
     psi(x) = exp(4 - 1/(u(1-u))), u = x-1, extended by zero.  Each derivative
-    is generated symbolically when first asked for and cached; their L1 norms
-    feed the decay certificates for the Mellin transform.
+    is exact up to rounding, a polynomial with integer coefficients times a
+    power of u(1-u) times psi (_bump_derivative); their L1 norms feed the
+    decay certificates for the Mellin transform.
     """
 
     support = (1.0, 2.0)
@@ -278,7 +192,11 @@ class TestFunction:
         res = np.zeros(xs.shape)
         inside = (xs > 1.0) & (xs < 2.0)
         if np.any(inside):
-            res[inside] = _bump_derivative(k)(xs[inside])
+            w = xs[inside] - 1.5
+            e = 1.0 - 4.0 * w * w
+            res[inside] = (np.polynomial.polynomial.polyval(
+                w, _bump_derivative(k).astype(float))
+                * np.exp(4.0 - 4.0 / e - 2 * k * np.log(e)))
         return float(res[0]) if x.ndim == 0 else res
 
     @lru_cache(maxsize=16)
@@ -287,27 +205,6 @@ class TestFunction:
         x = np.linspace(1.0, 2.0, 40001)
         y = np.abs(self.derivative(k, x))
         return float(np.trapezoid(y, x))
-
-    def mellin(self, s, tol: float = 1e-12):
-        """Mellin transform psi~(s) = integral psi(x) x^{s-1} dx, vectorized in s.
-
-        Composite Gauss-Legendre on the support, panels doubled until the
-        refinement agrees within tol.
-        """
-        s_arr = np.asarray(s, dtype=complex)
-        scalar = s_arr.ndim == 0
-        s_flat = np.atleast_1d(s_arr).ravel()
-        tmax = float(np.max(np.abs(s_flat.imag))) if s_flat.size else 0.0
-        panels = _bump_panels(tmax)
-        prev = None
-        for _ in range(12):
-            val = _mellin_dense(_bump_rule(self, panels), s_flat)
-            if prev is not None and float(np.max(np.abs(val - prev))) <= tol:
-                out = val.reshape(np.atleast_1d(s_arr).shape)
-                return complex(out.ravel()[0]) if scalar else out
-            prev = val
-            panels *= 2
-        raise QuadratureFailure("Mellin transform refinement did not converge")
 
     def mellin_line_bound(self, sigma_w: float, k: int = 8):
         """Bound |psi~(sigma_w + i t)| <= C_k / |t|^k from k-fold integration by parts."""
@@ -320,14 +217,25 @@ class TestFunction:
         return bound
 
 
-@lru_cache(maxsize=16)
-def _bump_derivative(k: int):
-    """The k-th derivative of the bump's formula, lambdified for numpy."""
-    import sympy as sp
-    xv = sp.symbols("x")
-    u = xv - 1
-    return sp.lambdify(xv, sp.diff(sp.exp(4 - 1 / (u * (1 - u))), xv, k),
-                       modules="numpy")
+@lru_cache(maxsize=None)
+def _bump_derivative(k: int) -> np.ndarray:
+    """Integer coefficients, lowest first, of the polynomial M_k in
+    w = x - 3/2 with psi^(k) = M_k(w) E^(-2k) psi, E = 1 - 4w^2 = 4u(1-u).
+
+    As psi = exp(4 - 4/E) and psi' = 4 E' E^(-2) psi, M_0 = 1 and
+    M_{k+1} = M_k' E^2 + (4 - 2k E) E' M_k, in Python integers.  The array
+    is read-only."""
+    P = np.polynomial.polynomial
+    E = np.array([1, 0, -4], dtype=object)
+    if k == 0:
+        m = np.array([1], dtype=object)
+    else:
+        m = _bump_derivative(k - 1)
+        m = P.polyadd(P.polymul(P.polyder(m), P.polymul(E, E)),
+                      P.polymul(P.polymul(P.polyder(E), m),
+                                P.polysub([4], 2 * (k - 1) * E)))
+    m.flags.writeable = False
+    return m
 
 
 @lru_cache(maxsize=1)
@@ -417,8 +325,14 @@ def _mellin_separable(rule, sigma: float, mid: np.ndarray,
     return (coarse.T @ fused).reshape(-1, off.size)[:mid.size]
 
 
+# The FFT of _bump_mellin_line: its points, and its period in v = log x as a
+# multiple of log 2, the length of the bump's support.
+_LINE_FFT = 1 << 20
+_LINE_PAD = 64
+
+
 @lru_cache(maxsize=32)
-def _bump_mellin_line(C: float, n_fft: int = 1 << 20, pad: int = 64):
+def _bump_mellin_line(C: float):
     """|psi~(-C - i t)| for the canonical bump, sampled on an FFT frequency grid.
 
     In the log variable v = log x the Mellin transform along the vertical line
@@ -430,10 +344,10 @@ def _bump_mellin_line(C: float, n_fft: int = 1 << 20, pad: int = 64):
     slope measured between t[-1] / 4 and t[-1].  The arrays are read-only.
     """
     psi = default_bump()
-    L = pad * math.log(2.0)
-    h = L / n_fft
-    v = np.arange(n_fft) * h
-    g = np.zeros(n_fft)
+    L = _LINE_PAD * math.log(2.0)
+    h = L / _LINE_FFT
+    v = np.arange(_LINE_FFT) * h
+    g = np.zeros(_LINE_FFT)
     m = v < math.log(2.0)
     g[m] = psi(np.exp(v[m])) * np.exp(-C * v[m])
     aF = np.abs(h * np.fft.rfft(g))
@@ -512,14 +426,6 @@ def v2_decay_ladder(T_f: float) -> tuple:
                  for C in _LADDER_CS)
 
 
-def v2_bound(x: float, T_f: float) -> float:
-    """Certified upper bound for |V2(x)|, sharp enough to be exponentially small."""
-    best = math.inf
-    for C, B in v2_decay_ladder(T_f):
-        best = min(best, B * (math.pi * x) ** (-C))
-    return min(best, 1.2)  # |V2| <= ~1 + O(sqrt x); 1.2 is a safe cap for x<1
-
-
 def v1_bound(x: float) -> float:
     """|V1(x)| = Q(1/4, pi x^2) <= (pi x^2)^{-3/4} e^{-pi x^2} / Gamma(1/4), plus cap."""
     z = math.pi * x * x
@@ -547,13 +453,6 @@ def psi_decay_ladder(T_f: float, sign: int) -> tuple:
         out.append((C, (2.0 * float(np.trapezoid(body, tt)) / TWO_PI
                         + 2.0 * float(np.trapezoid(ext, te)) / TWO_PI) * 1.001))
     return tuple(out)
-
-
-def psi_bound(x: float, T_f: float, sign: int) -> float:
-    best = math.inf
-    for C, B in psi_decay_ladder(T_f, sign):
-        best = min(best, B * (math.pi ** 2 * x) ** (-C))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +642,13 @@ def _dyadic(xs: np.ndarray):
     return e - 1, 2.0 * np.log2(m) + 1.0
 
 
-def v2_table_delta(T_f: float, x_lo: float, x_hi: float) -> float:
-    """Largest deviation of the V2 table from the contour engine, measured at
-    the off-node check points of every piece that meets [x_lo, x_hi]."""
+def v2_table_error(T_f: float, x_lo: float, x_hi: float) -> float:
+    """Per-point error of the V2 table on [x_lo, x_hi]: the contour tolerance
+    _V_TOL plus delta, the largest deviation of the table from the contour
+    engine at the off-node check points of every piece that meets the
+    interval.  delta is an a-posteriori check, not a proven bound."""
     j_lo, j_hi = (int(j) for j in _dyadic(np.array([x_lo, x_hi]))[0])
-    return max(_v2_piece(T_f, j)[1] for j in range(j_lo, j_hi + 1))
+    return _V_TOL + max(_v2_piece(T_f, j)[1] for j in range(j_lo, j_hi + 1))
 
 
 def v2_many(xs, T_f: float) -> np.ndarray:

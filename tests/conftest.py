@@ -2,7 +2,9 @@ import pathlib
 
 import pytest
 
+from lmoment.characters import DirichletCharacter, even_primitive_indices
 from lmoment.hecke import load_hecke_data, mock_hecke_system
+from lmoment.lvalues import dirichlet_central_oracle, twist_central_afe
 from lmoment.weights import default_bump
 
 DATA_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / \
@@ -22,3 +24,17 @@ def mock_f():
 @pytest.fixture(scope="session")
 def bump():
     return default_bump()
+
+
+@pytest.fixture(scope="session")
+def hurwitz_moment():
+    """The twisted moment one character at a time, with the Hurwitz-zeta
+    oracle for the Dirichlet factor and no DFT assembly."""
+    def moment(f, mod):
+        total = 0j
+        for k in even_primitive_indices(mod):
+            chi = DirichletCharacter(mod, int(k))
+            total += (twist_central_afe(f, chi).value
+                      * dirichlet_central_oracle(chi.conj()).value)
+        return total
+    return moment

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from bessel_oracle import psi_bessel
+from contour_oracle import v1, v2
 from lmoment.characters import (DirichletCharacter, build_modulus,
                                 even_primitive_indices, primes_in_range,
                                 primitive_pair_sum)
@@ -24,7 +25,7 @@ from lmoment.hecke import additive_twist, mock_hecke_system
 from lmoment.lvalues import dirichlet_central_afe, dirichlet_central_oracle
 from lmoment.moment import prime_scan, twisted_moment
 from lmoment.voronoi import voronoi_check
-from lmoment.weights import default_bump, psi_pm_many, v1, v2
+from lmoment.weights import default_bump, psi_pm_many
 
 
 def _report(num, name, ok, detail, elapsed, budget):
@@ -139,13 +140,13 @@ def test_05_oracle_equivalence(capsys):
                 time.time() - t0, 300)
 
 
-def test_06_moment_structure(capsys, real_f):
+def test_06_moment_structure(capsys, real_f, hurwitz_moment):
     t0 = time.time()
     mod = build_modulus(101)
     rep = twisted_moment(real_f, mod)
     decomp = abs(sum(rep.cross_terms.values()) - rep.moment) / abs(rep.moment)
     imag = abs(rep.moment.imag) / (1 + abs(rep.moment))
-    alt = twisted_moment(real_f, mod, dirichlet_method="hurwitz").moment
+    alt = hurwitz_moment(real_f, mod)
     oracle_shift = abs(alt - rep.moment)
     ok = decomp <= 1e-9 and imag <= 1e-9 and oracle_shift <= 50 * 1e-8
     with capsys.disabled():

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
+from lmoment.characters import primes_in_range
 from lmoment.cli import run
 
 DATA = "data/maass_even_13p77.txt"
@@ -130,9 +134,18 @@ def test_bad_arguments_fail_before_loading_data(tmp_path, capsys):
                        (["moment", "--q", "11", "--workers", "8"], "--workers"),
                        (["scan", "--qmin", "5", "--qmax", "20", "--workers",
                          "0"], "--workers"),
-                       (["moment", "--q", "11", "--tol", "0"], "--tol")):
+                       (["moment", "--q", "11", "--tol", "0"], "--tol"),
+                       (["moment", "--q", "11", "--tol", "inf"], "--tol"),
+                       (["check-data", "--seed", "-3"], "--seed")):
         err = _one_line_error(capsys, argv + ["--data", missing], 1)
         assert err.startswith("usage error:") and flag in err
+    # a negative seed for the mock system
+    for argv in (["check-data"], ["moment", "--q", "11"],
+                 ["scan", "--qmin", "5", "--qmax", "20"],
+                 ["voronoi", "--q", "7", "--d", "1", "--N", "50"],
+                 ["lvalue", "--q", "11", "--k", "2", "--twist"]):
+        err = _one_line_error(capsys, argv + ["--mock", "--seed", "-3"], 1)
+        assert err.startswith("usage error:") and "--seed" in err
     assert not out.parent.exists()
 
 
@@ -165,11 +178,68 @@ def test_data_path_is_a_directory(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_test_side_modules():
-    # mpmath, sympy and hypothesis serve the oracles and the bump's
-    # derivatives, perfbench the benchmark: importing the CLI loads none
-    code = ("import sys, lmoment.cli; print(' '.join(sorted(m for m in "
+    # mpmath and hypothesis serve the oracles, perfbench the benchmark, and
+    # sympy only the benchmark's checks: importing every lmoment module and
+    # building the bump's derivatives loads none of them
+    code = ("import importlib, pkgutil, sys, lmoment\n"
+            "for m in pkgutil.iter_modules(lmoment.__path__):\n"
+            "    importlib.import_module('lmoment.' + m.name)\n"
+            "sys.modules['lmoment.weights'].default_bump().deriv_l1(8)\n"
+            "print(' '.join(sorted(m for m in "
             "('mpmath', 'sympy', 'hypothesis', 'perfbench') "
             "if m in sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+def _flag(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(
+        lambda ps: [name] + [a for p in ps for a in p])
+
+
+# moduli: mostly primes, where the commands get past their argument checks
+_Q = st.one_of(st.sampled_from(primes_in_range(2, 211)), st.integers(-2, 211))
+_ARGV = st.tuples(
+    st.one_of(
+        _command("chars", _flag("--q", _Q)),
+        _command("gauss", _flag("--q", _Q)),
+        _command("kloosterman", _flag("--q", _Q)),
+        _command("lvalue", _flag("--q", _Q), _flag("--k", st.one_of(
+                     st.integers(0, 12), st.integers(-3, 214))),
+                 st.sampled_from([[], ["--twist"]])),
+        _command("moment", _flag("--q", _Q), _maybe("--tol", st.sampled_from(
+            [-1.0, 0.0, 1e-6, 0.5, math.inf, math.nan]))),
+        _command("scan", _flag("--qmin", st.integers(100, 400)),
+                 _flag("--qmax", st.integers(100, 400)),
+                 _maybe("--workers", st.integers(-1, 1))),
+        _command("voronoi", _flag("--q", _Q), _flag("--d", st.integers(-3, 30)),
+                 _flag("--N", st.integers(-1, 60))),
+        _command("check-data")),
+    st.sampled_from([["--data", DATA], ["--data", "/no/such/file"],
+                     ["--mock"]]),
+    _maybe("--seed", st.integers(-5, 5)),
+    _maybe("--format", st.sampled_from(["json", "csv"])),
+    st.sampled_from([None, None, "report.json", "no_dir/report.json"]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_no_argv_ends_in_a_traceback(tmp_path_factory, argv):
+    # any argv of the grammar ends in an exit code, never an exception
+    command, source, seed, fmt, out = argv
+    argv = command + source + seed + fmt
+    if out is not None:
+        argv += ["--out", str(tmp_path_factory.getbasetemp() / out)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2, 3)

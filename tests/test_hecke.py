@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from hecke_oracle import coefficient
+from lmoment.characters import primes_up_to
 from lmoment.errors import (BoundViolation, FormatError, GapError,
                             InsufficientData, NonConvergence)
 from lmoment.hecke import (HeckeSystem, additive_twist, average_bound_report,
-                           coefficient, coefficients_upto, l_one,
-                           l_one_report, load_hecke_data, mock_hecke_system)
+                           coefficients_upto, l_one, l_one_report,
+                           load_hecke_data, mock_hecke_system)
 
 R_LIT = 13.7797513518907
 LAMBDA2_LIT = 1.549304477941
@@ -33,37 +36,64 @@ def test_real_data_header(real_f):
 
 
 def test_real_data_matches_literature(real_f):
-    assert abs(real_f.coefficient(2) - LAMBDA2_LIT) < 1e-8
-    assert abs(real_f.coefficient(3) - LAMBDA3_LIT) < 1e-8
+    lam = coefficients_upto(real_f, 3)
+    assert abs(lam[2] - LAMBDA2_LIT) < 1e-8
+    assert abs(lam[3] - LAMBDA3_LIT) < 1e-8
 
 
-def test_recursion_and_multiplicativity(real_f):
-    lam = real_f.coefficient
-    for p in (2, 3, 5, 7, 11):
-        for k in range(1, 5):
-            assert abs(lam(p ** (k + 1))
-                       - (lam(p) * lam(p ** k) - lam(p ** (k - 1)))) < 1e-12
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        m = int(rng.integers(2, 120))
-        n = int(rng.integers(2, 120))
-        if math.gcd(m, n) == 1:
-            assert abs(lam(m * n) - lam(m) * lam(n)) < 1e-11
+# the Hecke relations on the program's array to the reach 16000: a prime
+# power p^(k+1) <= 16000, and a coprime pair m, n with mn <= 16000
+REACH = 16000
+_PRIME_POWER = st.sampled_from([int(p) for p in primes_up_to(126)]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(
+        1, int(math.log(REACH) / math.log(p) + 1e-9) - 1)))
+_COPRIME = st.integers(2, REACH // 2).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(2, REACH // m)))
+
+
+def _check_relations(lam, prime_power, pair):
+    p, k = prime_power
+    assert abs(lam[p ** (k + 1)]
+               - (lam[p] * lam[p ** k] - lam[p ** (k - 1)])) < 1e-12
+    m, n = pair
+    assume(math.gcd(m, n) == 1)
+    assert abs(lam[m * n] - lam[m] * lam[n]) < 1e-11
+
+
+@pytest.fixture(scope="module")
+def real_lam(real_f):
+    return coefficients_upto(real_f, REACH)
+
+
+@pytest.fixture(scope="module")
+def mock_lam(mock_f):
+    return coefficients_upto(mock_f, REACH)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(prime_power=_PRIME_POWER, pair=_COPRIME)
+def test_recursion_and_multiplicativity(real_lam, prime_power, pair):
+    _check_relations(real_lam, prime_power, pair)
 
 
 def test_dense_matches_scalar(real_f):
     arr = coefficients_upto(real_f, 3000)
     for n in (1, 2, 17, 256, 1024, 2999):
-        assert abs(arr[n] - coefficient(real_f, n)) < 1e-13
+        assert abs(arr[n] - coefficient(real_f.prime_coeffs, n)) < 1e-13
 
 
-def test_mock_satisfies_relations():
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(prime_power=_PRIME_POWER, pair=_COPRIME)
+def test_mock_satisfies_relations(mock_lam, prime_power, pair):
+    _check_relations(mock_lam, prime_power, pair)
+
+
+def test_mock_is_deterministic_in_its_seed():
     g = mock_hecke_system(11, P_max=500)
     assert g.is_mock
-    lam = g.coefficient
-    assert abs(lam(6) - lam(2) * lam(3)) < 1e-14
-    assert abs(lam(4) - (lam(2) ** 2 - 1)) < 1e-14
-    # deterministic in the seed
+    lam = coefficients_upto(g, 6)
+    assert abs(lam[6] - lam[2] * lam[3]) < 1e-14
+    assert abs(lam[4] - (lam[2] ** 2 - 1)) < 1e-14
     g2 = mock_hecke_system(11, P_max=500)
     assert g.prime_coeffs == g2.prime_coeffs
 
@@ -71,7 +101,7 @@ def test_mock_satisfies_relations():
 def test_reach_is_enforced():
     g = mock_hecke_system(1, P_max=50)
     with pytest.raises(InsufficientData):
-        g.coefficient(53)
+        coefficients_upto(g, 53)
     with pytest.raises(InsufficientData):
         coefficients_upto(g, 60)
 
@@ -87,7 +117,8 @@ def test_file_round_trip(tmp_path, real_f):
                 fh.write(f"{p} {real_f.prime_coeffs[p]:.13f}\n")
     g = load_hecke_data(str(path))
     assert g.P_max == 100
-    assert abs(g.coefficient(97) - real_f.coefficient(97)) < 1e-12
+    assert np.max(np.abs(coefficients_upto(g, 100)
+                         - coefficients_upto(real_f, 100))) < 1e-12
 
 
 def test_loader_error_paths():
@@ -129,10 +160,10 @@ def test_average_bounds_are_means_over_n_le_x(real_f):
 
 def test_additive_twist_basics(real_f):
     val = additive_twist(real_f, 0.3, 1)
-    want = real_f.coefficient(1) * np.exp(2j * np.pi * 0.3)
+    want = np.exp(2j * np.pi * 0.3)
     assert abs(val - want) < 1e-14
-    direct = sum(real_f.coefficient(n) * np.exp(2j * np.pi * 0.1 * n)
-                 for n in range(1, 33))
+    direct = sum(coefficient(real_f.prime_coeffs, n)
+                 * np.exp(2j * np.pi * 0.1 * n) for n in range(1, 33))
     assert abs(additive_twist(real_f, 0.1, 32) - direct) < 1e-11
 
 

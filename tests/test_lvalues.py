@@ -7,10 +7,11 @@ from lmoment.characters import DirichletCharacter, build_modulus
 from lmoment.errors import (InsufficientData, OddCharacter, PoleError,
                             PrincipalCharacter)
 from lmoment.expsums import gauss_sum
+from lmoment import weights
 from lmoment.hecke import mock_hecke_system
-from lmoment.lvalues import (afe1_cutoff, afe2_cutoff, dirichlet_central_afe,
-                             dirichlet_central_oracle, hurwitz_zeta,
-                             twist_central_afe)
+from lmoment.lvalues import (afe1_cutoff, afe2_cutoff, afe2_err_estimate,
+                             dirichlet_central_afe, dirichlet_central_oracle,
+                             hurwitz_zeta, twist_central_afe)
 
 
 def test_hurwitz_classical_values():
@@ -169,6 +170,20 @@ def test_twist_err_estimate_is_upper_bound(real_f):
         dv = dirichlet_central_afe(chi)
         dv2 = dirichlet_central_afe(chi, cutoff=2 * dv.cutoff)
         assert abs(dv2.value - dv.value) <= dv.err_estimate
+
+
+def test_twist_error_reads_the_v2_tolerance(real_f, monkeypatch):
+    # the per-point V2 error is the table's tolerance, not a copy of it: the
+    # first, unpatched call builds every table piece it reads, so that no
+    # piece is cached at the patched tolerance
+    q = 101
+    N = afe2_cutoff(q)
+    before = afe2_err_estimate(real_f, q, N, np.zeros(N))
+    monkeypatch.setattr(weights, "_V_TOL", 2e-10)
+    after = afe2_err_estimate(real_f, q, N, np.zeros(N))
+    n = np.arange(1, N + 1)
+    want = 2 * 1e-10 * np.sum(2 * n ** 0.11 / np.sqrt(n))
+    assert abs(after - before - want) <= 1e-9 * want
 
 
 def test_twist_insufficient_reach():

@@ -9,8 +9,7 @@ from lmoment.characters import (DirichletCharacter, build_modulus,
                                 even_primitive_indices, primes_in_range)
 from lmoment.errors import ModulusTooSmall
 from lmoment.lvalues import dirichlet_central_afe, twist_central_afe
-from lmoment.moment import (CROSS_KEYS, Witnesses, cross_term_decomposition,
-                            nonvanishing_search, prime_scan, twisted_moment)
+from lmoment.moment import CROSS_KEYS, Witnesses, prime_scan, twisted_moment
 from lmoment.weights import v1_many, v2_many
 
 
@@ -41,18 +40,17 @@ def test_moment_is_real(real_f):
 def test_decomposition_adds_up(real_f):
     mod = build_modulus(101)
     rep = twisted_moment(real_f, mod)
-    cross = cross_term_decomposition(real_f, mod)
+    cross = rep.cross_terms
     assert set(cross) == set(CROSS_KEYS)
     total = sum(cross.values())
     assert abs(total - rep.moment) < 1e-9 * (1 + abs(rep.moment))
 
 
-def test_hurwitz_oracle_consistency(real_f):
-    # replace the Dirichlet factor with the independent Hurwitz route
-    mod = build_modulus(101)
-    a = twisted_moment(real_f, mod).moment
-    b = twisted_moment(real_f, mod, dirichlet_method="hurwitz").moment
-    assert abs(a - b) <= 50 * 1e-8
+def test_hurwitz_oracle_consistency(real_f, hurwitz_moment):
+    for q in (13, 101):
+        mod = build_modulus(q)
+        a = twisted_moment(real_f, mod).moment
+        assert abs(a - hurwitz_moment(real_f, mod)) <= 50 * 1e-8
 
 
 def test_diagonal_term_dominates(real_f):
@@ -86,13 +84,11 @@ def test_modulus_too_small(real_f):
 
 def test_nonvanishing_search(real_f):
     mod = build_modulus(101)
-    wits = nonvanishing_search(real_f, mod, 1e-6)
+    wits = twisted_moment(real_f, mod, witness_threshold=1e-6).witnesses
     assert wits
     # sorted by the smaller magnitude, descending
     keys = [min(t, d) for _, t, d in wits]
     assert keys == sorted(keys, reverse=True)
-    with pytest.raises(ValueError):
-        nonvanishing_search(real_f, mod, -1.0)
     # threshold zero keeps every character whose values clear the error bars
     rep = twisted_moment(real_f, mod, witness_threshold=0.0)
     assert len(rep.witnesses) >= len(wits)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hecke_oracle import coefficient
 from lmoment.characters import build_modulus
 from lmoment.errors import InsufficientData, NotCoprime
 from lmoment.voronoi import (rhs_truncation_default, voronoi_check,
@@ -14,7 +15,7 @@ def test_lhs_matches_direct_loop(real_f, bump):
     q, d, N = 7, 3, 30
     mod = build_modulus(q)
     dbar = pow(d, -1, q)
-    direct = sum(real_f.coefficient(n)
+    direct = sum(coefficient(real_f.prime_coeffs, n)
                  * np.exp(2j * np.pi * (n * dbar % q) / q)
                  * bump(n / N)
                  for n in range(N, 2 * N + 1))

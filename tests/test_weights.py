@@ -7,14 +7,26 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as sp_gamma, gammaincc, loggamma
 
 from bessel_oracle import psi_bessel
+from contour_oracle import v1, v2
 from lmoment import weights
 from lmoment.errors import QuadratureFailure
-from lmoment.weights import (default_bump, g_pm, psi_bound, psi_pm_many, v1,
-                             v1_bound, v1_many, v2, v2_bound, v2_many,
-                             _mellin_dense, _mellin_rule, _mellin_separable,
-                             _panel_grid, _phase_sum, _v2_piece)
+from lmoment.weights import (default_bump, g_pm, psi_decay_ladder, psi_pm_many,
+                             v1_bound, v1_many, v2_decay_ladder, v2_many,
+                             _bump_mellin_line, _mellin_dense, _mellin_rule,
+                             _mellin_separable, _panel_grid, _phase_sum,
+                             _v2_piece)
 
 T_F = 13.7797513518907
+
+
+def psi_bound(x, T_f, sign):
+    # the contour-shift ladder's bound |Psi(x)| <= min_C B_C (pi^2 x)^-C
+    return min(B * (math.pi ** 2 * x) ** -C for C, B in psi_decay_ladder(T_f, sign))
+
+
+def v2_bound(x, T_f):
+    # the ladder's |V2(x)| <= min_C B_C (pi x)^-C, capped at 1.2 for x < 1
+    return min([B * (math.pi * x) ** -C for C, B in v2_decay_ladder(T_f)] + [1.2])
 
 
 def _g_pm_four_gamma(s, T_f, sign):
@@ -375,6 +387,12 @@ def test_psi_batch_matches_scalar():
         assert abs(pm[i] - psi_bessel(float(x), T_F, -1)) < 3e-9
 
 
+def _bump_mellin(s):
+    # psi~(s) by the program's node rule, validated to 1e-12 for |Im s| <= 640
+    return _mellin_dense(_mellin_rule(default_bump(), 640.0, 1e-12),
+                         np.atleast_1d(s))
+
+
 def test_bump_profile_and_mellin():
     psi = default_bump()
     assert psi(0.99) == 0.0 and psi(2.01) == 0.0
@@ -382,11 +400,28 @@ def test_bump_profile_and_mellin():
     # Mellin at s=1 is the plain integral of the bump
     x = np.linspace(1.0, 2.0, 200001)
     direct = np.trapezoid(psi(x), x)
-    assert abs(psi.mellin(1.0) - direct) < 1e-9
-    # integration-by-parts decay certificate is an actual upper bound
+    assert abs(_bump_mellin(1.0)[0] - direct) < 1e-9
+    # the integration-by-parts decay certificate bounds |psi~(it)| at every
+    # sample of the FFT line with t >= 1
     bound = psi.mellin_line_bound(0.0, k=8)
-    for t in (10.0, 40.0, 160.0):
-        assert abs(psi.mellin(1j * t)) <= bound(t)
+    t, a, _, _ = _bump_mellin_line(0.0)
+    assert all(a_t <= bound(t_t) for t_t, a_t in zip(t, a) if t_t >= 1.0)
+
+
+def test_bump_derivatives_against_mpmath():
+    # the integer recurrence against 40-digit numerical differentiation of
+    # the bump's formula, relative to the largest |psi^(k)| on a grid
+    psi = default_bump()
+    grid = np.linspace(1.0, 2.0, 4001)
+
+    def bump(y):
+        return mpmath.exp(4 - 1 / ((y - 1) * (2 - y)))
+    for k in range(1, 9):
+        sup = float(np.max(np.abs(psi.derivative(k, grid))))
+        for x in (1.1, 1.3, 1.5, 1.77, 1.93):
+            with mpmath.workdps(40):
+                want = float(mpmath.diff(bump, mpmath.mpf(x), k))
+            assert abs(psi.derivative(k, x) - want) <= 1e-12 * sup
 
 
 def test_bump_derivative_l1():
@@ -397,9 +432,7 @@ def test_bump_derivative_l1():
 
 def test_mellin_decay_is_stretched_exponential():
     # |psi~(it)| ~ exp(-a sqrt t) with a around 1.06; require at least 0.8
-    psi = default_bump()
-    v40 = abs(psi.mellin(1j * 40.0))
-    v640 = abs(psi.mellin(1j * 640.0))
+    v40, v640 = np.abs(_bump_mellin([40j, 640j]))
     assert v640 < v40 * math.exp(-0.8 * (math.sqrt(640) - math.sqrt(40)))
 
 
@@ -451,6 +484,19 @@ def test_psi_batch_abscissa_independence():
 
 
 def test_abscissa_validation():
+    # the program rejects arguments off its domain and abscissae left of its
+    # line; the oracles reject abscissae c <= 0
+    for xs in ([1.0, 0.0], [-1.0]):
+        with pytest.raises(ValueError):
+            v1_many(xs)
+        with pytest.raises(ValueError):
+            v2_many(xs, T_F)
+        with pytest.raises(ValueError):
+            psi_pm_many(xs, default_bump(), T_F)
+    with pytest.raises(ValueError):
+        v2_many([1.0, math.inf], T_F)
+    with pytest.raises(ValueError):
+        psi_pm_many([1.0], default_bump(), T_F, sigma=-0.5)
     for c in (-1.0, 0.0):
         with pytest.raises(ValueError):
             v1(1.0, c=c)
