@@ -484,8 +484,9 @@ def test_psi_batch_abscissa_independence():
 
 
 def test_abscissa_validation():
-    # the program rejects arguments off its domain and abscissae left of its
-    # line; the oracles reject abscissae c <= 0
+    # the program rejects arguments off its domain (and psi_pm_many a
+    # negative abscissa, test_psi_batch_abscissa_independence); the oracles
+    # reject abscissae c <= 0
     for xs in ([1.0, 0.0], [-1.0]):
         with pytest.raises(ValueError):
             v1_many(xs)
@@ -495,8 +496,6 @@ def test_abscissa_validation():
             psi_pm_many(xs, default_bump(), T_F)
     with pytest.raises(ValueError):
         v2_many([1.0, math.inf], T_F)
-    with pytest.raises(ValueError):
-        psi_pm_many([1.0], default_bump(), T_F, sigma=-0.5)
     for c in (-1.0, 0.0):
         with pytest.raises(ValueError):
             v1(1.0, c=c)
