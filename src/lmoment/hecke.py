@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,11 @@ class HeckeSystem:
 
     def coefficients_upto(self, N: int) -> np.ndarray:
         return coefficients_upto(self, N)
+
+    @cached_property
+    def l_one_value(self) -> float:
+        """L(1, f) by l_one, computed once per system."""
+        return l_one(self)
 
 
 def _kim_sarnak(p: int) -> float:

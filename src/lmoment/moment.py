@@ -20,7 +20,7 @@ from .characters import (PrimeModulus, build_modulus, even_primitive_indices,
                          primes_in_range)
 from .errors import InsufficientData, ModulusTooSmall
 from .expsums import gauss_sums_all
-from .hecke import HeckeSystem, l_one
+from .hecke import HeckeSystem
 from .lvalues import (afe1_cutoff, afe1_err_estimate, afe2_cutoff,
                       afe2_err_estimate, v1_many, v2_many)
 
@@ -85,16 +85,6 @@ class MomentReport:
     cutoffs: dict[str, int] = field(default_factory=dict)
     err_twist: float = 0.0
     err_dirichlet: float = 0.0
-
-
-_L_ONE_CACHE: dict[tuple, float] = {}
-
-
-def _l_one_cached(f: HeckeSystem) -> float:
-    key = (f.provenance, f.P_max, f.T_f, f.data_precision)
-    if key not in _L_ONE_CACHE:
-        _L_ONE_CACHE[key] = l_one(f)
-    return _L_ONE_CACHE[key]
 
 
 def _char_dft(mod: PrimeModulus, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -196,7 +186,7 @@ def twisted_moment(f: HeckeSystem, mod: PrimeModulus,
     witnesses = Witnesses(ks[keep][order], tmag[keep][order],
                           dmag[keep][order])
 
-    lf1 = l_one_value if l_one_value is not None else _l_one_cached(f)
+    lf1 = l_one_value if l_one_value is not None else f.l_one_value
     main = (q - 2) / 2.0 * lf1
     return MomentReport(
         q=q, moment=moment, main_term=main,
@@ -224,7 +214,7 @@ def prime_scan(f: HeckeSystem, q_min: int, q_max: int,
         raise InsufficientData(
             f"modulus {qs[-1]} needs coefficients to {afe2_cutoff(qs[-1])}, "
             f"reach is {f.P_max}")
-    lf1 = _l_one_cached(f)   # computed once, shared by every modulus
+    lf1 = f.l_one_value   # computed once, shared by every modulus
     if workers <= 1 or len(qs) <= 1:
         return [_scan_one((f, q, lf1)) for q in qs]
     with ProcessPoolExecutor(max_workers=workers) as ex:

@@ -32,10 +32,13 @@ G+-), from scipy.special.loggamma.  G+- is taken in its closed form,
 2 pi G+-(s) = 4^(-s) Gamma(1+s+iT) Gamma(1+s-iT) (cosh(pi T) or
 -cos(pi s)) / pi, in log space: one loggamma pair serves both signs, nothing
 cancels, and values below the smallest normal double are an exact 0.  The
-bump's Mellin transform along a vertical line is sampled by FFT down to its
-double-precision floor, and one empirical stretched-exponential fit
-continues it beyond (_psi_line); both the Psi+- truncation heights and the
-Psi+- decay ladders read it.
+bump's Mellin transform along a vertical line is sampled by a 2^16-point FFT
+down to its double-precision floor.  By Poisson summation each sample is
+the transform plus its aliases, which the k = 8 integration-by-parts bound
+holds below a tenth of the floor, a proven check made on every line
+(_bump_mellin_line).  Beyond the floor one empirical stretched-exponential
+fit continues the line (_psi_line); both the Psi+- truncation heights and
+the Psi+- decay ladders read it.
 """
 
 from __future__ import annotations
@@ -208,7 +211,9 @@ class TestFunction:
 
     def mellin_line_bound(self, sigma_w: float, k: int = 8):
         """Bound |psi~(sigma_w + i t)| <= C_k / |t|^k from k-fold integration by parts."""
-        ck = self.deriv_l1(k) * 2.0 ** (sigma_w + k - 1)
+        # sup of x^(sigma_w + k - 1) on [1, 2]: at x = 2 for a nonnegative
+        # exponent, at x = 1 otherwise
+        ck = self.deriv_l1(k) * max(1.0, 2.0 ** (sigma_w + k - 1))
 
         def bound(t):
             t = abs(t)
@@ -326,22 +331,37 @@ def _mellin_separable(rule, sigma: float, mid: np.ndarray,
 
 
 # The FFT of _bump_mellin_line: its points, and its period in v = log x as a
-# multiple of log 2, the length of the bump's support.
-_LINE_FFT = 1 << 20
+# multiple of log 2, the length of the bump's support.  2^16 points leave
+# 1024 samples on the support and a Nyquist frequency of 4640, against
+# floors at t <= 1010; _bump_mellin_line bounds the aliasing this admits.
+_LINE_FFT = 1 << 16
 _LINE_PAD = 64
+
+# zeta(8), the sum over j >= 1 of j^-8
+_ZETA8 = math.pi ** 8 / 9450.0
 
 
 @lru_cache(maxsize=32)
 def _bump_mellin_line(C: float):
     """|psi~(-C - i t)| for the canonical bump, sampled on an FFT frequency grid.
 
-    In the log variable v = log x the Mellin transform along the vertical line
-    Re s = -C is a plain Fourier integral of the smooth, compactly supported
-    profile psi(e^v) e^{-C v}, so one zero-padded FFT delivers the whole line
-    with spectral accuracy.  Returns (t, |psi~(-C-it)|, slope, a2) for t >= 0
-    up to the last sample above the double-precision floor, t[-1]; beyond it
-    |psi~| is taken to decay like a2 exp(-slope (sqrt t - sqrt t[-1])), with
-    slope measured between t[-1] / 4 and t[-1].  The arrays are read-only.
+    In the log variable v = log x, psi~(-C - i t) is the Fourier transform at
+    t of g(v) = psi(e^v) e^{-C v}, smooth and supported in [0, log 2].  The
+    FFT samples g at v = n h over one period L = 64 log 2 with h = L /
+    _LINE_FFT, so by Poisson summation its value at t_k = 2 pi k / L is
+    exactly the sum over all j of psi~(-C - i (t_k + 2 pi j / h)): aliasing
+    is its only error beyond rounding.  For 0 <= t_k <= t_cut the terms
+    j >= 1 lie at |t| >= j 2 pi / h and the terms j <= -1 at
+    |t| >= |j| (2 pi / h - t_cut), where the k = 8 bound B of
+    mellin_line_bound(-C) holds, so the aliasing is at most
+    zeta(8) (B(2 pi / h) + B(2 pi / h - t_cut)).  QuadratureFailure is raised
+    unless that is below a tenth of the floor (1e-14 of the line's maximum,
+    and at least 1e-16).
+
+    Returns (t, |psi~(-C-it)|, slope, a2) for t >= 0 up to the last sample
+    above the floor, t_cut = t[-1].  Beyond it |psi~| is taken, empirically,
+    to decay like a2 exp(-slope (sqrt t - sqrt t[-1])), with slope measured
+    between t[-1] / 4 and t[-1].  The arrays are read-only.
     """
     psi = default_bump()
     L = _LINE_PAD * math.log(2.0)
@@ -354,6 +374,12 @@ def _bump_mellin_line(C: float):
     t = np.arange(aF.size) * (TWO_PI / L)
     floor = max(1e-14 * float(aF.max()), 1e-16)
     cut = int(np.nonzero(aF > floor)[0].max())
+    bound = psi.mellin_line_bound(-C, 8)
+    alias = _ZETA8 * (bound(TWO_PI / h) + bound(TWO_PI / h - t[cut]))
+    if not alias < floor / 10:
+        raise QuadratureFailure(
+            f"FFT line of the bump at Re s = {-C:g} aliases by up to "
+            f"{alias:.2e}, above a tenth of its floor {floor:.2e}")
     i1 = int(np.searchsorted(t, 0.25 * t[cut]))
     # windowed maxima so the slope is fit to the envelope of |psi~|, not to
     # one of its near-zeros

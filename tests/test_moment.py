@@ -5,9 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
+from lmoment import hecke
 from lmoment.characters import (DirichletCharacter, build_modulus,
                                 even_primitive_indices, primes_in_range)
-from lmoment.errors import ModulusTooSmall
+from lmoment.errors import ModulusTooSmall, NonConvergence
+from lmoment.hecke import HeckeSystem, mock_hecke_system
 from lmoment.lvalues import dirichlet_central_afe, twist_central_afe
 from lmoment.moment import CROSS_KEYS, Witnesses, prime_scan, twisted_moment
 from lmoment.weights import v1_many, v2_many
@@ -109,6 +111,29 @@ def test_prime_scan_order_and_cutoffs(real_f):
     assert cuts == sorted(cuts)
     # l_one is shared across the scan
     assert len({r.l_one_value for r in reps}) == 1
+
+
+def test_l_one_belongs_to_its_system():
+    # two mock systems with the same provenance, P_max and T_f: the all-zero
+    # one has L(1) = pi^2 / 15, and the random one fails the L(1, f)
+    # certificate, also after a twisted moment of the first
+    mock = mock_hecke_system(5)
+    zero = HeckeSystem(T_f=mock.T_f, parity="even",
+                       prime_coeffs=dict.fromkeys(mock.prime_coeffs, 0.0),
+                       P_max=mock.P_max, data_precision=0.0, provenance="mock")
+    mod = build_modulus(101)
+    assert abs(twisted_moment(zero, mod).l_one_value - math.pi ** 2 / 15) < 1e-4
+    with pytest.raises(NonConvergence):
+        twisted_moment(mock, mod)
+
+
+def test_l_one_is_computed_once_per_system(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hecke, "l_one", lambda f: calls.append(f) or 0.5)
+    f = mock_hecke_system(3)
+    mod = build_modulus(101)
+    assert [twisted_moment(f, mod).l_one_value for _ in range(2)] == [0.5, 0.5]
+    assert len(calls) == 1
 
 
 def test_prime_scan_deterministic_across_workers(real_f):

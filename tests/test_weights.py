@@ -408,6 +408,42 @@ def test_bump_profile_and_mellin():
     assert all(a_t <= bound(t_t) for t_t, a_t in zip(t, a) if t_t >= 1.0)
 
 
+_LINE_CS = (0.0,) + weights._PSI_LADDER_CS
+
+
+def test_ladder_lines_lie_under_the_k8_bound():
+    # at Re s = -C with -C + 7 < 0 the supremum of x^(-C+7) on [1, 2] is 1,
+    # at x = 1: a factor 2^(-C+7) in its place undercuts the line at C >= 10
+    psi = default_bump()
+    for C in _LINE_CS:
+        bound = psi.mellin_line_bound(-C, k=8)
+        t, a, _, _ = _bump_mellin_line(C)
+        assert all(a_t <= bound(t_t) for t_t, a_t in zip(t, a) if t_t >= 1.0), C
+
+
+def test_fft_line_matches_the_node_rule():
+    # the FFT line against the Gauss-Legendre Mellin rule, a second
+    # algorithm, at every 10th sample with t <= 640 (measured: 5.6e-15)
+    rule = _mellin_rule(default_bump(), 640.0, 1e-12)
+    for C in _LINE_CS:
+        t, a, _, _ = _bump_mellin_line(C)
+        sel = np.arange(0, np.searchsorted(t, 640.0, side="right"), 10)
+        dense = np.abs(_mellin_dense(rule, -C - 1j * t[sel]))
+        assert np.max(np.abs(dense - a[sel])) <= 1e-13 * np.max(a), C
+
+
+def test_fft_line_rejects_aliasing(monkeypatch):
+    # 2^12 points put the Nyquist frequency at 290, below the line's floor
+    # near t = 1000, so the aliasing bound exceeds the floor
+    monkeypatch.setattr(weights, "_LINE_FFT", 1 << 12)
+    _bump_mellin_line.cache_clear()
+    try:
+        with pytest.raises(QuadratureFailure):
+            _bump_mellin_line(0.0)
+    finally:
+        _bump_mellin_line.cache_clear()
+
+
 def test_bump_derivatives_against_mpmath():
     # the integer recurrence against 40-digit numerical differentiation of
     # the bump's formula, relative to the largest |psi^(k)| on a grid
