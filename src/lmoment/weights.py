@@ -1,44 +1,38 @@
 """Gamma factors, AFE weights V1/V2 and Voronoi kernels G+- / Psi+-.
 
-The weights are inverse Mellin transforms, evaluated by quadrature on a
-vertical segment [c - iH, c + iH]: truncation heights come from tail bounds,
-and panel counts are doubled until two refinements agree, which is the
-a-posteriori certificate demanded of every contour integral here.
+V1 has the closed form Q(1/4, pi x^2) (v1_many).  V2 and Psi+- are inverse
+Mellin transforms on a line Re s = c, Fourier integrals in u = log(base x):
+W(x) = (base x)^(-c) (1/2 pi) int k(c + it) e^(-iut) dt.  One contour engine
+evaluates them.  Its kernels satisfy Schwarz reflection, checked on each line
+(_half_line), so it samples the half line t_k = 2 pi k / L, takes the
+trapezoid sum onto a uniform u-grid of period L by one inverse real FFT
+(_trapezoid_grid) and reads each argument from a _STENCIL-point barycentric
+stencil (_interpolate).  Each call states three error terms per argument and
+raises QuadratureFailure where their sum exceeds half its tolerance:
 
-One batch engine, _batch_line, evaluates many arguments and kernel rows at
-once.  Every kernel it takes satisfies Schwarz reflection, k(c - it) =
-conj k(c + it), so each integral is real, twice the real part of its upper
-half: the engine evaluates the kernel and the phase on the upper half of
-the panel grid only, and checks the reflection once per call on the
-mirrored first panel.  Its nodes t = m_p + h xi_k lie on an exact arithmetic
-grid, and _grid_phase splits the phase e^{-iut} in two levels, coarse panels
-and fine panels times nodes, for the phase sum and the bump's Mellin
-transform alike.  It gives the Psi+- kernels of the dual sum (psi_pm_many)
-and builds the V2 table: v2_many reads per-form Chebyshev pieces in log x
-over the dyadic intervals [2^j, 2^(j+1)], each fitted once to the engine and
-accepted only after an off-node check against it.
+- aliasing, empirical: by Poisson summation the trapezoid sum adds
+  e^(c j L) W(x e^(jL)) over j != 0, bounded by the decay ladders, which are
+  line integrals grown until stable (V2) or carry an empirical tail (Psi+-);
+  the FFT aliasing of the bump's Mellin samples is proven (k = 8 bound);
+- truncation in t: proven for V2 (gamma_line_bound), empirical for Psi+-
+  (the extrapolated tail of _psi_height_table, until ROADMAP item 2);
+- interpolation, proven: the Lagrange remainder, with the P-th derivative
+  of the trapezoid sum bounded by (dt / pi) sum_k |k(c + i t_k)| t_k^P.
+Rounding, about 1e-16 of (dt / pi) sum_k |k(c + i t_k)|, is not stated.
 
-The tests check the engine against oracles that share no code with this
-module.  For V1 and V2 they are dense scalar contour integrals with their
-own gamma ratio (tests/contour_oracle.py), whose abscissa c is their one
-setting.  For Psi+- it is the Bessel form, Psi+(x) = 4x cosh(pi T) int
-psi(y) K_2iT(4 pi sqrt(xy)) dy over [1, 2] and its J_2iT counterpart for
-Psi-, which the tests compute with mpmath (tests/bessel_oracle.py).
+psi_pm_many reads both Psi+- from one engine call.  v2_many reads per-form
+Chebyshev pieces in log x over the dyadic intervals [2^j, 2^(j+1)], each
+fitted once to the engine and checked off its nodes against it.  The gamma
+factors are written once (_v2_kernel, g_pm) from scipy.special.loggamma; G+-
+in its closed form, in log space.  The bump's Mellin transform on a vertical
+line is a 2^16-point FFT (_bump_fft) on the Psi engine's grid t_k; beyond its
+floor one empirical stretched-exponential fit continues it (_psi_line) for
+the Psi+- truncation heights and decay ladders.
 
-V1 has the closed form Q(1/4, pi x^2), which v1_many evaluates directly.
-
-Each weight's gamma factors are written once (_v2_kernel for V2, g_pm for
-G+-), from scipy.special.loggamma.  G+- is taken in its closed form,
-2 pi G+-(s) = 4^(-s) Gamma(1+s+iT) Gamma(1+s-iT) (cosh(pi T) or
--cos(pi s)) / pi, in log space: one loggamma pair serves both signs, nothing
-cancels, and values below the smallest normal double are an exact 0.  The
-bump's Mellin transform along a vertical line is sampled by a 2^16-point FFT
-down to its double-precision floor.  By Poisson summation each sample is
-the transform plus its aliases, which the k = 8 integration-by-parts bound
-holds below a tenth of the floor, a proven check made on every line
-(_bump_mellin_line).  Beyond the floor one empirical stretched-exponential
-fit continues the line (_psi_line); both the Psi+- truncation heights and
-the Psi+- decay ladders read it.
+The tests check the engine against oracles that share no code with it:
+dense scalar contour integrals for V1 and V2 (tests/contour_oracle.py), the
+Bessel form of Psi+- with mpmath (tests/bessel_oracle.py), and the bump's
+Mellin transform by a Gauss-Legendre node rule (tests/mellin_oracle.py).
 """
 
 from __future__ import annotations
@@ -57,10 +51,8 @@ TWO_PI = 2.0 * math.pi
 # vertical decay of the gamma function
 
 def gamma_line_bound(sigma: float, y: float) -> float:
-    """Upper bound for |Gamma(sigma + iy)|, |y| >= 2, 0 <= sigma <= 2.5.
-
-    Classical vertical-decay estimate with a safety factor of 2.
-    """
+    """Upper bound for |Gamma(sigma + iy)|, |y| >= 2, 0 <= sigma <= 2.5:
+    the classical vertical-decay estimate with a safety factor of 2."""
     y = abs(y)
     if y < 2:
         raise ValueError("bound valid for |y| >= 2")
@@ -69,33 +61,27 @@ def gamma_line_bound(sigma: float, y: float) -> float:
     return 2.0 * math.sqrt(2 * math.pi) * (y ** (sigma - 0.5)) * math.exp(-math.pi * y / 2 + 1.0 / (6 * y))
 
 
-# ---------------------------------------------------------------------------
-# quadrature on a vertical segment
-
-# Gauss-Legendre nodes per contour panel, and the panel cap of a V2 contour.
-_GL_ORDER = 24
-_MAX_PANELS = 4096
-
 # Target accuracy of V2 at each point of its table (v2_table_error).
 _V_TOL = 1e-10
 
-# The abscissa of the V2 table: at c = 1 the integrand carries (pi x)^-1, and
-# for x = 1e-6 its cancellation costs 1.3e-9; at c = 1/2 the engine stays
-# within 2e-12 of V2's residue series from x = 1e-6 to 14.4.
+# The abscissa of the V2 engine: at c = 1 the integrand carries (pi x)^-1,
+# which at x = 1e-6 costs 1.3e-9 in cancellation.
 _V2_C = 0.5
+
+# The period in u = log(pi x) of the V2 engine: aliasing e^(-L/2) = 1.6e-28.
+_V2_L = 128.0
 
 # Target accuracy of the Psi+- kernels.
 _PSI_TOL = 1e-9
 
-
-@lru_cache(maxsize=16)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+# Points per period of the engine's u-grid and of its interpolation stencil:
+# stated interpolation errors below 1e-16 for the (7, 1, 50) dual sum.
+_U_FFT = 1 << 16
+_STENCIL = 12
 
 
 def _grow_height(tail_bound, tol: float, h0: float = 20.0, hmax: float = 6000.0) -> float:
-    """Smallest height (by doubling) with certified tail below tol/10."""
+    """Smallest height h0 1.5^k, up to hmax, with certified tail below tol/10."""
     H = h0
     while H <= hmax:
         if tail_bound(H) < tol / 10:
@@ -134,42 +120,11 @@ def _v2_tail_bound(x: float, T_f: float, c: float):
 # ---------------------------------------------------------------------------
 # smooth bump test function and its Mellin transform
 
-def _bump_panels(tmax: float) -> int:
-    """Starting panel count of the bump's Mellin rule up to frequency tmax."""
-    return max(4, int(0.12 * tmax / 4) + 2)
-
-
-def _bump_rule(psi: TestFunction, panels: int):
-    """(log x_m, b_m): composite 16-point Gauss-Legendre on [1, 2] with
-    b_m = weight_m psi(x_m), so that psi~(s) ~ sum_m b_m x_m^(s-1)."""
-    x0, w0 = _gl_nodes(16)
-    edges = np.linspace(1.0, 2.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    x = (mid[:, None] + half * x0[None, :]).ravel()
-    base = np.broadcast_to(half * w0[None, :], (panels, 16)).ravel() * psi(x)
-    return np.log(x), base
-
-
-def _mellin_dense(rule, s) -> np.ndarray:
-    """psi~(s) on a 1-d array by a node rule, one exponential per node and s."""
-    lx, base = rule
-    s = np.asarray(s, dtype=complex)
-    out = np.empty(s.shape, dtype=complex)
-    for i0 in range(0, s.size, 4096):
-        blk = s[i0:i0 + 4096]
-        out[i0:i0 + 4096] = np.exp(lx[None, :] * (blk[:, None] - 1)) @ base
-    return out
-
-
 class TestFunction:
-    """Canonical smooth bump supported on [1,2].
-
-    psi(x) = exp(4 - 1/(u(1-u))), u = x-1, extended by zero.  Each derivative
-    is exact up to rounding, a polynomial with integer coefficients times a
-    power of u(1-u) times psi (_bump_derivative); their L1 norms feed the
-    decay certificates for the Mellin transform.
-    """
+    """Canonical smooth bump psi(x) = exp(4 - 1/(u(1-u))), u = x-1, on [1,2]
+    and zero outside.  Each derivative is exact up to rounding, an integer
+    polynomial times a power of u(1-u) times psi (_bump_derivative); their L1
+    norms feed the decay certificates for the Mellin transform."""
 
     support = (1.0, 2.0)
     name = "canonical_bump"
@@ -177,13 +132,11 @@ class TestFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape if x.ndim else (1,))
         xs = np.atleast_1d(x)
         inside = (xs > 1.0) & (xs < 2.0)
         u = xs[inside] - 1.0
-        out_in = np.exp(4.0 - 1.0 / (u * (1.0 - u)))
         res = np.zeros(xs.shape)
-        res[inside] = out_in
+        res[inside] = np.exp(4.0 - 1.0 / (u * (1.0 - u)))
         return float(res[0]) if x.ndim == 0 else res
 
     def derivative(self, k: int, x):
@@ -256,33 +209,6 @@ def default_bump() -> TestFunction:
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _exp_normal(lg):
-    """exp(lg), and an exact 0 where Re lg < _LOG_TINY."""
-    return np.where(lg.real < _LOG_TINY, 0.0, np.exp(lg))
-
-
-def _log_g_shared(s, T_f: float):
-    """log of 4^(-s) Gamma(1+s+iT) Gamma(1+s-iT) / (2 pi^2), the factor that
-    G_+ and G_- share."""
-    return (loggamma(1 + s + 1j * T_f) + loggamma(1 + s - 1j * T_f)
-            - s * math.log(4.0) - math.log(2.0 * math.pi ** 2))
-
-
-def _log_g_factor(s, T_f: float, sign: int):
-    """log cosh(pi T) for sign=+1, log(-cos(pi s)) for sign=-1.
-
-    -cos(pi s) = e^{i e pi (1 - s)} (1 + e^{2i e pi s}) / 2 with e the sign
-    of Im s, so the exponential under log1p never exceeds 1, where cos(pi s)
-    itself overflows past |Im s| ~ 225, and the value at conj s is the
-    conjugate of the value at s."""
-    if sign > 0:
-        T = abs(T_f)
-        return math.pi * T + math.log1p(math.exp(-TWO_PI * T)) - math.log(2.0)
-    e = np.where(s.imag < 0, -1.0, 1.0)
-    return (1j * math.pi * e * (1.0 - s) - math.log(2.0)
-            + np.log1p(np.exp(2j * math.pi * e * s)))
-
-
 def g_pm(s, T_f: float, sign: int):
     """G_{+-}(s), the Voronoi kernel's gamma factor; sign=+1 selects the plus
     kernel.
@@ -290,50 +216,29 @@ def g_pm(s, T_f: float, sign: int):
     By reflection and duplication, 2 pi G_{+-}(s) = 4^(-s) Gamma(1+s+iT)
     Gamma(1+s-iT) (cosh(pi T) for +, -cos(pi s) for -) / pi, taken in log
     space: two loggamma calls, no cancellation, and an exact 0 where the
-    value is below the smallest normal double.  G(conj s) = conj G(s).
+    value is below the smallest normal double.  For the minus sign,
+    -cos(pi s) = e^{i e pi (1 - s)} (1 + e^{2i e pi s}) / 2 with e the sign
+    of Im s, so the exponential under log1p never exceeds 1, where cos(pi s)
+    itself overflows past |Im s| ~ 225.  G(conj s) = conj G(s).
     """
     s_arr = np.asarray(s, dtype=complex)
-    scalar = s_arr.ndim == 0
-    s_flat = np.atleast_1d(s_arr)
-    val = _exp_normal(_log_g_shared(s_flat, T_f)
-                      + _log_g_factor(s_flat, T_f, sign))
-    return complex(val[0]) if scalar else val
+    s = np.atleast_1d(s_arr)
+    lg = (loggamma(1 + s + 1j * T_f) + loggamma(1 + s - 1j * T_f)
+          - s * math.log(4.0) - math.log(2.0 * math.pi ** 2))
+    if sign > 0:
+        T = abs(T_f)
+        lg = lg + (math.pi * T + math.log1p(math.exp(-TWO_PI * T)) - math.log(2.0))
+    else:
+        e = np.where(s.imag < 0, -1.0, 1.0)
+        lg = lg + (1j * math.pi * e * (1.0 - s) - math.log(2.0)
+                   + np.log1p(np.exp(2j * math.pi * e * s)))
+    val = np.where(lg.real < _LOG_TINY, 0.0, np.exp(lg))
+    return complex(val[0]) if s_arr.ndim == 0 else val
 
 
-@lru_cache(maxsize=32)
-def _mellin_rule(psi: TestFunction, tmax: float, tol: float):
-    """The node rule of _bump_rule for |Im s| <= tmax, validated once by
-    panel doubling to tol at the worst-case frequency.  The arrays are
-    read-only."""
-    panels = _bump_panels(tmax)
-    probe = np.array([1.0 - 1j * tmax, -1.0 - 1j * tmax, -1j * tmax * 0.7])
-    while True:
-        rule, rule2 = _bump_rule(psi, panels), _bump_rule(psi, 2 * panels)
-        if np.max(np.abs(_mellin_dense(rule, probe)
-                         - _mellin_dense(rule2, probe))) <= tol:
-            for a in rule2:
-                a.flags.writeable = False
-            return rule2
-        panels *= 2
-        if panels > 4096:
-            raise QuadratureFailure("Mellin node rule did not validate")
-
-
-def _mellin_separable(rule, sigma: float, mid: np.ndarray,
-                      off: np.ndarray) -> np.ndarray:
-    """psi~(-s) at s = sigma + i(mid_p + off_k), as a (panels, nodes) array:
-    x_m^(-s-1) = x_m^(-sigma-1) e^{-i (mid_p + off_k) log x_m}, whose phase
-    _grid_phase splits; the coarse factor folds into one matrix product."""
-    lx, base = rule
-    coarse, fused = _grid_phase(lx, mid, off)
-    fused *= (base * np.exp(-(sigma + 1.0) * lx))[:, None]
-    return (coarse.T @ fused).reshape(-1, off.size)[:mid.size]
-
-
-# The FFT of _bump_mellin_line: its points, and its period in v = log x as a
-# multiple of log 2, the length of the bump's support.  2^16 points leave
-# 1024 samples on the support and a Nyquist frequency of 4640, against
-# floors at t <= 1010; _bump_mellin_line bounds the aliasing this admits.
+# The bump's FFT line: its points, and its period in v = log x over log 2,
+# the length of the bump's support.  2^16 points leave 1024 samples on the
+# support and a Nyquist frequency of 4640, against floors at t <= 1010.
 _LINE_FFT = 1 << 16
 _LINE_PAD = 64
 
@@ -341,36 +246,38 @@ _LINE_PAD = 64
 _ZETA8 = math.pi ** 8 / 9450.0
 
 
-@lru_cache(maxsize=32)
-def _bump_mellin_line(C: float):
-    """|psi~(-C - i t)| for the canonical bump, sampled on an FFT frequency grid.
-
-    In the log variable v = log x, psi~(-C - i t) is the Fourier transform at
-    t of g(v) = psi(e^v) e^{-C v}, smooth and supported in [0, log 2].  The
-    FFT samples g at v = n h over one period L = 64 log 2 with h = L /
-    _LINE_FFT, so by Poisson summation its value at t_k = 2 pi k / L is
-    exactly the sum over all j of psi~(-C - i (t_k + 2 pi j / h)): aliasing
-    is its only error beyond rounding.  For 0 <= t_k <= t_cut the terms
-    j >= 1 lie at |t| >= j 2 pi / h and the terms j <= -1 at
-    |t| >= |j| (2 pi / h - t_cut), where the k = 8 bound B of
-    mellin_line_bound(-C) holds, so the aliasing is at most
-    zeta(8) (B(2 pi / h) + B(2 pi / h - t_cut)).  QuadratureFailure is raised
-    unless that is below a tenth of the floor (1e-14 of the line's maximum,
-    and at least 1e-16).
-
-    Returns (t, |psi~(-C-it)|, slope, a2) for t >= 0 up to the last sample
-    above the floor, t_cut = t[-1].  Beyond it |psi~| is taken, empirically,
-    to decay like a2 exp(-slope (sqrt t - sqrt t[-1])), with slope measured
-    between t[-1] / 4 and t[-1].  The arrays are read-only.
-    """
-    psi = default_bump()
-    L = _LINE_PAD * math.log(2.0)
-    h = L / _LINE_FFT
+def _bump_fft(psi: TestFunction, C: float) -> np.ndarray:
+    """psi~(-C - i t_k), t_k = 2 pi k / L, k <= _LINE_FFT / 2, plus aliases:
+    h times the real FFT of g(v) = psi(e^v) e^{-C v} at v = n h, with
+    L = _LINE_PAD log 2 = _LINE_FFT h.  g is real, so the line has Schwarz
+    reflection exactly."""
+    h = _LINE_PAD * math.log(2.0) / _LINE_FFT
     v = np.arange(_LINE_FFT) * h
     g = np.zeros(_LINE_FFT)
     m = v < math.log(2.0)
     g[m] = psi(np.exp(v[m])) * np.exp(-C * v[m])
-    aF = np.abs(h * np.fft.rfft(g))
+    return h * np.fft.rfft(g)
+
+
+@lru_cache(maxsize=32)
+def _bump_mellin_line(C: float):
+    """(t, |psi~(-C-it)|, slope, a2) of the canonical bump on the FFT line of
+    _bump_fft, for t >= 0 up to the last sample above the floor (1e-14 of
+    the line's maximum, at least 1e-16), t_cut = t[-1]; read-only.
+
+    By Poisson summation each sample is psi~(-C - i (t_k + 2 pi j / h))
+    summed over all j.  For t_k <= t_cut the terms j >= 1 lie at
+    |t| >= j 2 pi / h and the terms j <= -1 at |t| >= |j| (2 pi / h - t_cut),
+    so with B the k = 8 bound of mellin_line_bound(-C) the aliasing is at
+    most zeta(8) (B(2 pi / h) + B(2 pi / h - t_cut)): QuadratureFailure
+    unless that is below a tenth of the floor.  Beyond t_cut |psi~| is
+    taken, empirically, to decay like a2 exp(-slope (sqrt t - sqrt t_cut)),
+    with slope measured between t_cut / 4 and t_cut.
+    """
+    psi = default_bump()
+    L = _LINE_PAD * math.log(2.0)
+    h = L / _LINE_FFT
+    aF = np.abs(_bump_fft(psi, C))
     t = np.arange(aF.size) * (TWO_PI / L)
     floor = max(1e-14 * float(aF.max()), 1e-16)
     cut = int(np.nonzero(aF > floor)[0].max())
@@ -394,11 +301,9 @@ def _bump_mellin_line(C: float):
 
 def _psi_line(C: float, T_f: float, sign: int):
     """(tt, body, te, ext): |G(C+it) psi~(-C-it)| on the FFT line up to the
-    floor of psi~, and its extrapolated tail on te from tt[-1] to 400 tt[-1].
-
-    The tail is empirical: the measured stretched-exponential decay of psi~
-    (softened by 0.8) under the kernel envelope t^(2C+1) measured on the
-    same line (with 5% margin)."""
+    floor of psi~, and its empirical tail on te from tt[-1] to 400 tt[-1]:
+    the measured stretched-exponential decay of psi~ (softened by 0.8) under
+    the kernel envelope t^(2C+1) measured on the same line (5% margin)."""
     tt, aF, slope, a2 = _bump_mellin_line(C)
     gv = np.abs(g_pm(C + 1j * tt, T_f, sign))
     env = 1.05 * float(np.max(gv / (1.0 + tt) ** (2 * C + 1)))
@@ -410,11 +315,9 @@ def _psi_line(C: float, T_f: float, sign: int):
 
 @lru_cache(maxsize=16)
 def _psi_height_table(sigma: float, T_f: float, sign: int):
-    """Tail integrals of |G(sigma+it) psi~(-sigma-it)| as a function of height.
-
-    Returns (t_grid, tail) with tail[i] = integral from t_grid[i] to infinity,
-    over the FFT line and its empirical extrapolation (_psi_line).
-    """
+    """(t_grid, tail): tail[i] = integral from t_grid[i] to infinity of
+    |G(sigma+it) psi~(-sigma-it)|, over the FFT line and its empirical
+    extrapolation (_psi_line)."""
     tt, body, te, ext = _psi_line(sigma, T_f, sign)
     tg = np.concatenate([tt, te[1:]])
     vals = np.concatenate([body, ext[1:]])
@@ -482,115 +385,124 @@ def psi_decay_ladder(T_f: float, sign: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation: one contour, one node rule, many arguments
+# the contour engine: the trapezoid rule in t and one FFT in u
 
-# Arguments per block: at 1360 panels, a 14.5 MB fused factor (1024 x 37 x 24).
-_PHASE_BLOCK = 1024
-
-# Quadrature weights w k below this are dropped.  Their products with the
-# phase factors would be subnormal, which slowed the (7, 1, 50) phase sums
-# 1.6-fold, and each is some 1e260 below any tolerance of a contour here.
-_NEGLIGIBLE = 1e-270
-
-
-def _fine_panels(panels: int) -> int:
-    """Panels per coarse row of _grid_phase, ceil(sqrt(panels))."""
-    return math.isqrt(panels - 1) + 1
-
-
-def _grid_phase(u: np.ndarray, mid: np.ndarray, off: np.ndarray):
-    """(coarse, fused), e^{-iu t} = coarse[i, a] fused[i, b nodes + k] at the
-    nodes t = mid_p + off_k, p = aF + b, of an exact arithmetic grid mid, with
-    coarse = e^{-iu mid_aF}, fused = e^{-iu (mid_b - mid_0)} e^{-iu off_k}."""
-    F = _fine_panels(mid.size)
-    coarse = np.exp(-1j * np.outer(u, mid[::F]))
-    fine = np.exp(-1j * np.outer(u, mid[:F] - mid[0]))
-    node = np.exp(-1j * np.outer(u, off))
-    return coarse, (fine[:, :, None] * node[:, None, :]).reshape(u.size, -1)
-
-
-def _phase_sum(u: np.ndarray, mid: np.ndarray, off: np.ndarray,
-               wk: np.ndarray) -> np.ndarray:
-    """sum over p, k of e^{-i u (mid_p + off_k)} wk[j, p, k] for every u and
-    row j: sum_a coarse[., a] (fused @ W)[., (j, a)] by _grid_phase, where W
-    is wk zero-padded to whole coarse rows and laid out as ((b, k), (j, a))."""
-    rows, panels, nodes = wk.shape
-    F = _fine_panels(panels)
-    w = np.pad(wk, ((0, 0), (0, -panels % F), (0, 0)))
-    w = w.reshape(rows, -1, F, nodes).transpose(2, 3, 0, 1).reshape(
-        F * nodes, -1)
-    out = np.empty((rows, u.size), dtype=complex)
-    for i0 in range(0, u.size, _PHASE_BLOCK):
-        ub = u[i0:i0 + _PHASE_BLOCK]
-        coarse, fused = _grid_phase(ub, mid, off)
-        a = (fused @ w).reshape(ub.size, rows, -1)
-        out[:, i0:i0 + _PHASE_BLOCK] = np.einsum("ba,bja->jb", coarse, a)
-    return out
-
-
-def _panel_grid(H: float, panels: int):
-    """(mid, h): midpoints (2p + 1 - panels) h of panels that cover [-H, H];
-    h is H / panels rounded up to k 2^-30, so each is exact for H < 2^23."""
-    h = math.ceil(H / panels * 2.0 ** 30) / 2.0 ** 30
-    return h * np.arange(1 - panels, panels, 2), h
-
-
-def _check_reflection(kernel, k: np.ndarray, mid: np.ndarray,
-                      off: np.ndarray) -> None:
-    """Raise QuadratureFailure unless kernel(c - it) = conj kernel(c + it) on
-    the first upper panel k = kernel(mid, off), to rounding: 1e-12 of each
-    row's largest value there.  The Gauss-Legendre offsets are symmetric, so
-    the mirrored panel's nodes are those of the first one, reversed."""
-    mirror = kernel(-mid[:1], off)[:, :, ::-1]
-    first = k[:, :1]
-    dev = np.max(np.abs(mirror - np.conj(first)), axis=(1, 2))
-    if np.any(dev > 1e-12 * np.max(np.abs(first), axis=(1, 2))):
+def _half_line(kernel, L: float, K: int) -> np.ndarray:
+    """kernel(t), rows k_j(c + it), at t_k = 2 pi k / L, k = 0..K, after a
+    check that k_j(c - it) = conj k_j(c + it) on the first 32 nodes, to 1e-12
+    of each row's largest value there."""
+    t = (TWO_PI / L) * np.arange(K + 1)
+    line = kernel(t)
+    first = line[:, :32]
+    dev = np.max(np.abs(kernel(-t[:32]) - np.conj(first)), axis=1)
+    if np.any(dev > 1e-12 * np.max(np.abs(first), axis=1)):
         raise QuadratureFailure(
             "contour kernel fails Schwarz reflection; its integral is not "
             "twice the real part of the upper half")
+    return line
 
 
-def _batch_line(base: float, xs: np.ndarray, c: float, H: float, tol: float,
-                kernel, min_panels: int,
-                max_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(1/2 pi) integral over t in [-H, H] of (base*x)^{-s} k_j(s) dt at
-    s = c + it, for every kernel row k_j and every x in xs at once.
+def _trapezoid_grid(line: np.ndarray, L: float):
+    """(grid, deriv), read-only: S_j(u) = (dt / 2 pi) sum over |k| <= K of
+    k_j(c + i t_k) e^(-iu t_k), dt = 2 pi / L, from the half line
+    line[j, k], on the grid u_m = m L / _U_FFT, where it is real and of
+    period L; and deriv_j = (dt / pi) sum_k |line[j, k]| t_k^P >= |S_j^(P)|,
+    P = _STENCIL."""
+    N, nodes = _U_FFT, line.shape[1]
+    if nodes > N // 2:
+        raise QuadratureFailure(f"{nodes} nodes exceed the {N}-point u-grid")
+    dt = TWO_PI / L
+    grid = np.fft.irfft(np.conj(line) * (N * dt / TWO_PI), n=N, axis=-1)
+    deriv = (dt / math.pi) * (np.abs(line) @ (dt * np.arange(nodes)) ** _STENCIL)
+    grid.flags.writeable = deriv.flags.writeable = False
+    return grid, deriv
 
-    Every kernel satisfies Schwarz reflection, k_j(c - it) = conj k_j(c + it),
-    so the integral is 2 Re of its upper half, and only the upper half of
-    _panel_grid's symmetric midpoints is evaluated: kernel(mid, off) returns
-    k_j(c + i(mid_p + off_k)) as a (rows, panels, _GL_ORDER) array at those
-    midpoints mid > 0 and the offsets h xi_k.  Once per call the kernel is
-    checked on the mirrored first panel (_check_reflection).  Panel counts
-    are even; they double from min_panels until every value agrees with the
-    previous level within tol/2 plus its rounding floor, the full line's
-    4e-15 sum|w k_j| (base x)^-c / 2 pi = 8e-15 sum_{t>0} |w k_j| (base x)^-c
-    / 2 pi.  Returns (values, floors), real, each of shape (rows, xs.size).
-    """
-    if min_panels % 2:
-        raise ValueError("panel counts must be even")
-    x0, w0 = _gl_nodes(_GL_ORDER)
-    lx = np.log(base * xs)
-    pref = np.exp(-c * lx) / TWO_PI
-    panels = min_panels
-    prev = None
-    while panels <= max_panels:
-        mid, half = _panel_grid(H, panels)
-        mid = mid[panels // 2:]
-        off = half * x0
-        k = kernel(mid, off)
-        if prev is None:
-            _check_reflection(kernel, k, mid, off)
-        wk = half * w0 * k
-        wk[np.abs(wk) < _NEGLIGIBLE] = 0.0
-        out = 2.0 * _phase_sum(lx, mid, off, wk).real * pref
-        floor = 8e-15 * np.sum(np.abs(wk), axis=(1, 2))[:, None] * pref
-        if prev is not None and np.all(np.abs(out - prev) <= tol / 2 + floor):
-            return out, floor
-        prev = out
-        panels *= 2
-    raise QuadratureFailure(
-        f"batch contour integral did not converge within {max_panels} panels")
+
+def _interpolate(grid, deriv, L: float, base: float, c: float, xs: np.ndarray):
+    """(values, interpolation error), each (rows, xs.size), of
+    (base x)^(-c) S_j(u), u = log(base x), by the barycentric formula on the
+    P = _STENCIL grid points around u; the error is the Lagrange remainder
+    |omega(u)| deriv_j / P!, omega the product of the distances to them."""
+    N, P = grid.shape[1], _STENCIL
+    h = L / N
+    u = np.log(base * xs)
+    p = np.mod(u, L) / h
+    m0 = np.floor(p)
+    # (u - u_i) / h at the stencil points u_i, i = m0 - P/2 + 1 .. m0 + P/2
+    d = (p - m0)[:, None] + (P // 2 - 1 - np.arange(P))
+    idx = (m0.astype(np.int64)[:, None] + np.arange(1 - P // 2, 1 + P // 2)) % N
+    w = np.array([(-1) ** i * math.comb(P - 1, i) for i in range(P)], float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wd = w / d
+        vals = np.einsum("jnp,np->jn", grid[:, idx], wd) / np.sum(wd, axis=1)
+    on_grid = d[:, P // 2 - 1] == 0
+    vals[:, on_grid] = grid[:, idx[on_grid, P // 2 - 1]]
+    pref = np.exp(-c * u)
+    omega = h ** P * np.prod(np.abs(d), axis=1)
+    return vals * pref, np.outer(deriv, omega * pref / math.factorial(P))
+
+
+def _alias(ladder, c: float, L: float, u: np.ndarray, side: int) -> np.ndarray:
+    """Bound on the aliases e^(c j L) |W(x e^(jL))| summed over j >= 1
+    (side = 1) or j <= -1 (side = -1), u = log(base x), for a weight with
+    |W(x)| <= B (base x)^(-C) at each (C, B) of ladder: the least over the C
+    with (C - c) side > 0 of a geometric series of ratio e^(-|C - c| L)."""
+    logs = [math.log(B) - g - math.log(-math.expm1(-g)) - C * u
+            for C, B in ladder if (g := side * (C - c) * L) > 0]
+    return np.exp(np.min(logs, axis=0, initial=np.inf))
+
+
+def _check_stated(errors: dict, tol: float, what: str) -> None:
+    if not (total := float(np.max(sum(errors.values())))) <= tol / 2:
+        raise QuadratureFailure(f"{what}: stated error {total:.2e} > {tol / 2:.1e}")
+
+
+@lru_cache(maxsize=8)
+def _psi_kernel_line(psi: TestFunction, sigma: float, T_f: float, K: int):
+    """(line, alias): G_{+-}(sigma + i t_k) psi~(-sigma - i t_k), k = 0..K,
+    rows (+, -), read-only, with G checked for Schwarz reflection; and per
+    row the FFT aliasing of the psi~ samples carried into the sum,
+    (dt / pi) sum_k |G| zeta(8) (B(2 pi / h) + B(2 pi / h - t_K))."""
+    L = _LINE_PAD * math.log(2.0)
+    bump = _bump_fft(psi, sigma)
+    if K >= bump.size:
+        raise QuadratureFailure("Psi height beyond the bump line's Nyquist frequency")
+    G = _half_line(lambda t: np.stack([g_pm(sigma + 1j * t, T_f, sign)
+                                       for sign in (+1, -1)]), L, K)
+    h = L / _LINE_FFT
+    bound = psi.mellin_line_bound(-sigma, 8)
+    sample = _ZETA8 * (bound(TWO_PI / h) + bound(TWO_PI / h - K * TWO_PI / L))
+    line = G * bump[:K + 1]
+    line.flags.writeable = False
+    return line, (2.0 / L) * sample * np.sum(np.abs(G), axis=1)
+
+
+def _psi_contour(xs: np.ndarray, psi: TestFunction, T_f: float, sigma: float):
+    """(values, errors) of (Psi_plus, Psi_minus) at xs by the engine at
+    Re s = sigma, each term of errors (aliasing, truncation, interpolation)
+    of shape (2, xs.size), the height H as in the height tables."""
+    pref = (math.pi ** 2 * xs) ** (-sigma)
+    tails = [_psi_height_table(sigma, T_f, sign) for sign in (+1, -1)]
+    H = 0.0
+    for tg, tail in tails:
+        ok = np.nonzero(float(pref.max()) * 2.0 * tail / TWO_PI < _PSI_TOL / 10)[0]
+        if ok.size == 0:
+            raise QuadratureFailure("Psi integrand tail does not reach tolerance")
+        H = max(H, float(tg[int(ok.min())]))
+    L = _LINE_PAD * math.log(2.0)
+    line, sample_alias = _psi_kernel_line(psi, sigma, T_f, math.ceil(H * L / TWO_PI))
+    vals, interp = _interpolate(*_trapezoid_grid(line, L), L, math.pi ** 2, sigma, xs)
+    u = np.log(math.pi ** 2 * xs)
+    ladders = [psi_decay_ladder(T_f, sign) for sign in (+1, -1)]
+    errors = {
+        "aliasing": np.outer(sample_alias, pref) + np.array(
+            [_alias(lad, sigma, L, u, 1) + _alias(lad, sigma, L, u, -1)
+             for lad in ladders]),
+        "truncation": np.outer([2.0 * tail[np.searchsorted(tg, H, "right") - 1]
+                                / TWO_PI for tg, tail in tails], pref),
+        "interpolation": interp}
+    _check_stated(errors, _PSI_TOL, "Psi+- contour")
+    return vals, errors
 
 
 def v1_many(xs) -> np.ndarray:
@@ -600,21 +512,6 @@ def v1_many(xs) -> np.ndarray:
     if np.any(xs <= 0):
         raise ValueError("arguments must be positive")
     return gammaincc(0.25, math.pi * xs * xs)
-
-
-def _v2_contour(xs: np.ndarray, T_f: float):
-    """V2 and its rounding floor at every x in xs by one shared contour rule
-    (the builder of the V2 table)."""
-    H = _grow_height(_v2_tail_bound(float(xs.min()), T_f, _V2_C), _V_TOL,
-                     h0=2 * abs(T_f) + 20.0)
-
-    def kernel(mid, off):
-        return _v2_kernel(_V2_C + 1j * (mid[:, None] + off[None, :]), T_f)[None]
-
-    # one doubling above max(8, H / 6), whose level never passed the check
-    out, floor = _batch_line(math.pi, xs, _V2_C, H, _V_TOL, kernel,
-                             2 * max(8, int(H / 6)), _MAX_PANELS)
-    return out[0], floor[0]
 
 
 # A V2 table piece starts at this Chebyshev degree and doubles it, up to the
@@ -633,27 +530,52 @@ def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=8)
+def _v2_left_bound(T_f: float) -> float:
+    """B with |V2(x) - 1| <= B (pi x)^(1/4), from Re s = -1/4: the contour
+    crosses one pole, s = 0 with residue 1."""
+    return _abs_line_integral(lambda s: np.abs(_v2_kernel(s, T_f)), -0.25)
+
+
+@lru_cache(maxsize=8)
+def _v2_grid(T_f: float, K: int):
+    return _trapezoid_grid(_half_line(
+        lambda t: _v2_kernel(_V2_C + 1j * t, T_f)[None], _V2_L, K), _V2_L)
+
+
+def _v2_engine(xs: np.ndarray, T_f: float) -> np.ndarray:
+    """V2 at xs by the engine at Re s = _V2_C; aliasing by v2_decay_ladder
+    at x e^L and |V2| <= 1 + B (pi x)^(1/4) (_v2_left_bound) at x e^(-L)."""
+    x_min = float(xs.min())
+    tail = _v2_tail_bound(x_min, T_f, _V2_C)
+    H = _grow_height(tail, _V_TOL, h0=2 * abs(T_f) + 20.0)
+    grid = _v2_grid(T_f, math.ceil(H * _V2_L / TWO_PI))
+    vals, interp = _interpolate(*grid, _V2_L, math.pi, _V2_C, xs)
+    u = np.log(math.pi * xs)
+    alias = (_alias(v2_decay_ladder(T_f), _V2_C, _V2_L, u, 1)
+             + _alias([(0.0, 1.0)], _V2_C, _V2_L, u, -1)
+             + _alias([(-0.25, _v2_left_bound(T_f))], _V2_C, _V2_L, u, -1))
+    _check_stated({"aliasing": alias,
+                   "truncation": tail(H) * (x_min / xs) ** _V2_C,
+                   "interpolation": interp[0]}, _V_TOL, "V2 contour")
+    return vals[0]
+
+
 @lru_cache(maxsize=256)
 def _v2_piece(T_f: float, j: int) -> tuple[np.ndarray, float]:
     """(coefficients, delta) of the V2 table piece for x in [2^j, 2^(j+1)]: a
     Chebyshev interpolant in t = 2 log2(x) - 2j - 1, and its largest
-    deviation from the contour engine at the check points.
-
-    The degree-n nodes are the even points cos(pi k / 2n); the odd ones
-    interleave them and are the check points.  A degree passes when its
-    deviation there is at most _V_TOL/2, the rule of panel doubling; only
-    where the engine's own rounding floor exceeds _V_TOL/2 (x below about
-    2e-8) does the floor take its place.  Each piece is built once per
-    (T_f, j) from its own nodes, so no value depends on which arguments were
-    asked first.
-    """
+    deviation from the contour engine at the check points, the odd points
+    cos(pi k / 2n) between its degree-n nodes.  A degree passes when delta
+    is at most _V_TOL/2.  Each piece is built once per (T_f, j) from its own
+    nodes, so no value depends on which arguments were asked first."""
     n = _V2_DEGREE0
     while n <= _V2_DEGREE_CAP:
         s = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
-        vals, floor = _v2_contour(2.0 ** (j + 0.5 * (s + 1.0)), T_f)
+        vals = _v2_engine(2.0 ** (j + 0.5 * (s + 1.0)), T_f)
         coef = _cheb_coeffs(vals[::2])
         dev = np.abs(np.polynomial.chebyshev.chebval(s[1::2], coef) - vals[1::2])
-        if np.all(dev <= np.maximum(_V_TOL / 2, floor[1::2])):
+        if np.all(dev <= _V_TOL / 2):
             coef.flags.writeable = False
             return coef, float(dev.max())
         n *= 2
@@ -669,10 +591,10 @@ def _dyadic(xs: np.ndarray):
 
 
 def v2_table_error(T_f: float, x_lo: float, x_hi: float) -> float:
-    """Per-point error of the V2 table on [x_lo, x_hi]: the contour tolerance
-    _V_TOL plus delta, the largest deviation of the table from the contour
-    engine at the off-node check points of every piece that meets the
-    interval.  delta is an a-posteriori check, not a proven bound."""
+    """Per-point error of the V2 table on [x_lo, x_hi]: _V_TOL, twice the
+    engine's bound on its stated error, plus delta, the largest deviation of
+    the table from the engine at the check points of every piece that meets
+    the interval (an a-posteriori check, not a proven bound)."""
     j_lo, j_hi = (int(j) for j in _dyadic(np.array([x_lo, x_hi]))[0])
     return _V_TOL + max(_v2_piece(T_f, j)[1] for j in range(j_lo, j_hi + 1))
 
@@ -696,38 +618,13 @@ def v2_many(xs, T_f: float) -> np.ndarray:
 def psi_pm_many(xs, psi: TestFunction, T_f: float,
                 sigma: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(Psi_plus, Psi_minus) on an array of arguments, as real arrays: the
-    two kernels are the two rows of one batch contour integral at abscissa
-    sigma, with one Mellin node rule and one loggamma pair per node shared
-    by all x and both signs."""
+    two rows of one contour engine call at abscissa sigma (_psi_contour)."""
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0), np.zeros(0)
-    if np.any(xs <= 0):
-        raise ValueError("arguments must be positive")
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise ValueError("arguments must be positive and finite")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    pref_max = float(np.max((math.pi ** 2 * xs) ** (-sigma)))
-    H = 0.0
-    for sign in (+1, -1):
-        tg, tail = _psi_height_table(sigma, T_f, sign)
-        ok = np.nonzero(pref_max * 2.0 * tail / TWO_PI < _PSI_TOL / 10)[0]
-        if ok.size == 0:
-            raise QuadratureFailure("Psi integrand tail does not reach tolerance")
-        H = max(H, float(tg[int(ok.min())]))
-    rule = _mellin_rule(psi, 1.001 * H, _PSI_TOL / 100)
-    Lmax = float(np.max(np.abs(np.log(math.pi ** 2 * xs))))
-    cycles = Lmax * H / TWO_PI + H / 40.0
-    start = max(8, int(cycles / 6) + 4)
-
-    def kernel(mid, off):
-        s = sigma + 1j * (mid[:, None] + off[None, :])
-        lg = _log_g_shared(s, T_f)
-        m = _mellin_separable(rule, sigma, mid, off)
-        return np.stack([_exp_normal(lg + _log_g_factor(s, T_f, sign)) * m
-                         for sign in (+1, -1)])
-
-    # one doubling above the oscillation budget, whose level never passed the
-    # check on the dual-sum arguments; the cap stays that of the budget
-    out, _ = _batch_line(math.pi ** 2, xs, sigma, H, _PSI_TOL, kernel,
-                         2 * start, max(4096, 4 * start))
-    return out[0], out[1]
+    vals, _ = _psi_contour(xs, psi, T_f, sigma)
+    return vals[0], vals[1]

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as sp_gamma, gammaincc, loggamma
 
+from scipy.integrate import quad
+from scipy.special import k0
+
 from bessel_oracle import psi_bessel
 from contour_oracle import v1, v2
 from lmoment import weights
 from lmoment.errors import QuadratureFailure
 from lmoment.weights import (default_bump, g_pm, psi_decay_ladder, psi_pm_many,
                              v1_bound, v1_many, v2_decay_ladder, v2_many,
-                             _bump_mellin_line, _mellin_dense, _mellin_rule,
-                             _mellin_separable, _panel_grid, _phase_sum,
-                             _v2_piece)
+                             _bump_mellin_line, _half_line, _interpolate,
+                             _trapezoid_grid, _v2_piece)
+from mellin_oracle import mellin_dense, mellin_rule
 
 T_F = 13.7797513518907
 
@@ -270,111 +273,140 @@ def test_v2_table_history_independence():
     assert np.array_equal(v2_many(xs, T_F), first)
 
 
-def test_separable_sums_match_dense(monkeypatch):
-    # the batch engine's two-level phase and its Mellin factor against the
-    # dense forms, on the engine's panel grid: at the height and panel counts
-    # of the (7, 1, 50) dual sum, and at the first levels of the V2 table; a
-    # small block size crosses the block edges, and the prime panel count 37
-    # a zero-padded last coarse row
-    monkeypatch.setattr(weights, "_PHASE_BLOCK", 40)
-    rng = np.random.default_rng(1)
-    x0, _ = np.polynomial.legendre.leggauss(24)
-    H = 1043.0
-    H_v2 = 2 * T_F + 20.0
-
-    def grid(H, panels):
-        mid, h = _panel_grid(H, panels)
-        return mid, h * x0, (mid[:, None] + h * x0[None, :]).ravel()
-
-    cases = [(H, panels, 2, np.linspace(-3.0, 13.0, 97))
-             for panels in (37, 340, 680, 1360)]
-    cases += [(H_v2, panels, 1, np.log(math.pi * np.geomspace(1e-6, 14.4, 97)))
-              for panels in (8, 16, 37)]
-    for height, panels, rows, u in cases:
-        mid, off, t = grid(height, panels)
-        w = (rng.standard_normal((rows, panels, 24))
-             + 1j * rng.standard_normal((rows, panels, 24)))
-        got = _phase_sum(u, mid, off, w)
-        dense = np.exp(-1j * np.outer(u, t))
-        for j in range(rows):
-            want = dense @ w[j].ravel()
-            assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.sum(np.abs(w[j]))
-    # the dense Mellin form costs seconds a level; one level suffices, and
-    # a prime one crosses the padded coarse row
-    rule = _mellin_rule(default_bump(), 1.001 * H, 1e-11)
-    for panels in (37, 340):
-        mid, off, t = grid(H, panels)
-        for sigma in (0.0, 0.5):
-            got = _mellin_separable(rule, sigma, mid, off).ravel()
-            want = _mellin_dense(rule, -(sigma + 1j * t))
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(rule[1]))
+# the Psi+- engine's period in u = log(pi^2 x), and the (7, 1, 50) dual sum
+PSI_L = 64 * math.log(2.0)
+DUAL_XS = np.arange(1, 16001) * 50 / 49
 
 
-def _reflecting_kernel(rng, rows, c):
-    # k_j(c + it) = sum_m a_jm e^{i b_jm t} / (1 + (t/40)^2) with real a, b,
-    # so that k_j(c - it) = conj k_j(c + it)
+def _dense_trapezoid(line, L, base, c, xs):
+    # the engine's sum without its FFT or stencil: (base x)^-c (dt / 2 pi)
+    # (k_0 + 2 Re sum_{k >= 1} k_k (base x)^(-i t_k)), one exponential per
+    # node and argument; and the rounding allowance 1e-13 (dt / pi) sum |k_k|
+    dt = 2 * math.pi / L
+    t = dt * np.arange(line.shape[1])
+    w = line * (dt / math.pi)
+    w[:, 0] /= 2
+    u = np.log(base * xs)
+    pref = np.exp(-c * u)
+    dense = (np.exp(-1j * np.outer(u, t)) @ w.T).real.T * pref
+    return dense, 1e-13 * np.sum(np.abs(w), axis=1)[:, None] * pref
+
+
+def test_fft_contour_matches_dense_sum(monkeypatch):
+    # the FFT and the stencil against the dense trapezoid sum, on the lines
+    # of the (7, 1, 50) dual sum (both signs, K = 7371) and of the V2
+    # table; the difference lies within the stated interpolation error
+    # plus rounding.  With a 4-point stencil, where the stated error is
+    # the larger term, the remainder bound still holds
+    v2_line = _half_line(lambda t: weights._v2_kernel(0.5 + 1j * t, T_F)[None],
+                         128.0, 969)
+    cases = [(weights._psi_kernel_line(default_bump(), 0.0, T_F, 7371)[0],
+              PSI_L, math.pi ** 2, 0.0, DUAL_XS[::160]),
+             (v2_line, 128.0, math.pi, 0.5, np.geomspace(1e-6, 14.4, 97))]
+    for stencil in (12, 4):
+        monkeypatch.setattr(weights, "_STENCIL", stencil)
+        for line, L, base, c, xs in cases:
+            got, err = _interpolate(*_trapezoid_grid(line, L), L, base, c, xs)
+            want, rounding = _dense_trapezoid(line, L, base, c, xs)
+            assert np.all(np.abs(got - want) <= err + rounding)
+            if stencil == 12:
+                assert np.all(err <= rounding)
+
+
+def _reflecting_kernel(rng, rows):
+    # k_j(c + it) = sum_m a_jm e^{i b_jm t} e^{-(t/40)^2} with real a, b, so
+    # that k_j(c - it) = conj k_j(c + it)
     a = rng.standard_normal((rows, 5))
     b = rng.uniform(-3.0, 3.0, (rows, 5))
 
-    def kernel(mid, off):
-        t = mid[:, None] + off[None, :]
-        waves = np.exp(1j * b[:, :, None, None] * t)
-        return np.einsum("jm,jmpk->jpk", a, waves) / (1 + (t / 40) ** 2)
+    def kernel(t):
+        return (np.einsum("jm,jmt->jt", a, np.exp(1j * b[:, :, None] * t))
+                * np.exp(-(t / 40) ** 2))
     return kernel
 
 
-def test_half_line_matches_full_line(monkeypatch):
-    # _batch_line sums the upper half of the panel grid and doubles its real
-    # part: against the dense sum over the full grid, at the height of the
-    # (7, 1, 50) dual sum with two rows (680 and 1360 panels) and at the V2
-    # table's height with one row (16 panels); an infinite tolerance accepts
-    # the second level, panels / 2 -> panels
-    monkeypatch.setattr(weights, "_PHASE_BLOCK", 40)
+def test_half_line_matches_full_line():
+    # the engine doubles the real part of the half-line sum: against the
+    # dense trapezoid sum over the full line -K..K, with the kernel taken
+    # at -t_k too, on the Psi period with two rows and the V2 period with one
     rng = np.random.default_rng(2)
-    x0, w0 = np.polynomial.legendre.leggauss(24)
-    cases = [(math.pi ** 2, 0.0, 1043.0, panels, 2,
-              np.arange(1, 98) * 50 / 49) for panels in (680, 1360)]
-    cases += [(math.pi, 0.5, 2 * T_F + 20.0, 16, 1,
-               np.geomspace(1e-6, 14.4, 97))]
-    for base, c, H, panels, rows, xs in cases:
-        kernel = _reflecting_kernel(rng, rows, c)
-        got, _ = weights._batch_line(base, xs, c, H, math.inf, kernel,
-                                     panels // 2, panels)
-        mid, h = _panel_grid(H, panels)
-        t = (mid[:, None] + h * x0[None, :]).ravel()
-        w = (h * w0 * kernel(mid, h * x0)).reshape(rows, -1)
-        pref = (base * xs) ** (-c) / (2 * math.pi)
-        dense = np.exp(-1j * np.outer(np.log(base * xs), t))
-        for j in range(rows):
-            want = (dense @ w[j]) * pref
-            assert np.max(np.abs(got[j] - want)) <= (
-                1e-13 * np.sum(np.abs(w[j])) * pref.max())
+    for L, base, c, rows, xs in ((PSI_L, math.pi ** 2, 0.0, 2, DUAL_XS[::160]),
+                                 (128.0, math.pi, 0.5, 1,
+                                  np.geomspace(1e-6, 14.4, 97))):
+        kernel = _reflecting_kernel(rng, rows)
+        K = 2000
+        line = _half_line(kernel, L, K)
+        got, err = _interpolate(*_trapezoid_grid(line, L), L, base, c, xs)
+        t = 2 * math.pi / L * np.arange(-K, K + 1)
+        w = kernel(t) / L
+        u = np.log(base * xs)
+        want = (np.exp(-1j * np.outer(u, t)) @ w.T).T * np.exp(-c * u)
+        rounding = 1e-13 * np.sum(np.abs(w), axis=1)[:, None] * np.exp(-c * u)
+        assert np.max(np.abs(want.imag)) <= np.max(rounding)
+        assert np.all(np.abs(got - want.real) <= err + rounding)
 
 
 def test_half_line_rejects_kernel_without_reflection():
-    kernel = _reflecting_kernel(np.random.default_rng(3), 1, 0.5)
-    xs = np.geomspace(1e-6, 14.4, 9)
-
-    def twisted(mid, off):
-        return np.exp(0.1j) * kernel(mid, off)
+    kernel = _reflecting_kernel(np.random.default_rng(3), 1)
+    _half_line(kernel, 128.0, 64)
     with pytest.raises(QuadratureFailure):
-        weights._batch_line(math.pi, xs, 0.5, 2 * T_F + 20.0, math.inf,
-                            twisted, 8, 16)
+        _half_line(lambda t: np.exp(0.1j) * kernel(t), 128.0, 64)
 
 
-def test_psi_accepted_panel_level(monkeypatch):
-    # the (7, 1, 50) dual sum, x = n 50/49 for n <= 16000, is accepted at
-    # 1360 panels over [-H, H], one doubling after the start of 680; each
-    # level evaluates the upper 680 / 2 and 1360 / 2 panels
-    levels = []
-    phase_sum = weights._phase_sum
+def test_psi_stated_error_below_tolerance():
+    # the (7, 1, 50) dual sum: each stated term, and their sum, below
+    # _PSI_TOL / 2, where the engine would refuse; the truncation (the
+    # empirical tail of the height table) is the largest of the three
+    vals, errors = weights._psi_contour(DUAL_XS, default_bump(), T_F, 0.0)
+    assert vals.shape == (2, DUAL_XS.size)
+    assert set(errors) == {"aliasing", "truncation", "interpolation"}
+    total = sum(errors.values())
+    assert total.shape == vals.shape
+    assert np.max(total) < weights._PSI_TOL / 2
+    assert np.max(errors["interpolation"]) < 1e-15
+    assert np.max(errors["aliasing"]) < 1e-13
 
-    def record(u, mid, off, wk):
-        levels.append(mid.size)
-        return phase_sum(u, mid, off, wk)
-    monkeypatch.setattr(weights, "_phase_sum", record)
-    psi_pm_many(np.arange(1, 16001) * 50 / 49, default_bump(), T_F)
-    assert sorted(set(levels)) == [340, 680]
+
+def test_engine_refuses_a_grid_it_cannot_certify(monkeypatch):
+    # a 4096-point u-grid cannot hold the Psi line's 7368 nodes, and leaves
+    # the V2 stencil a stated error of 1.6e-10; a 2-point stencil leaves
+    # both above 2e-5: psi_pm_many and a V2 table piece raise rather than
+    # return values
+    xs = np.geomspace(0.8, 50.0, 8)
+    for name, value in (("_U_FFT", 1 << 12), ("_STENCIL", 2)):
+        with monkeypatch.context() as m:
+            m.setattr(weights, name, value)
+            weights._v2_grid.cache_clear()
+            _v2_piece.cache_clear()
+            try:
+                with pytest.raises(QuadratureFailure):
+                    psi_pm_many(xs, default_bump(), T_F)
+                with pytest.raises(QuadratureFailure):
+                    _v2_piece(T_F, 0)
+            finally:
+                weights._v2_grid.cache_clear()
+                _v2_piece.cache_clear()
+
+
+def test_psi_rejects_non_finite_arguments():
+    for xs in ([math.nan], [math.inf], [1.0, math.nan], [-1.0], [0.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            psi_pm_many(np.array(xs), default_bump(), T_F)
+    pp, pm = psi_pm_many(np.zeros(0), default_bump(), T_F)
+    assert pp.shape == pm.shape == (0,)
+
+
+def test_psi_plus_under_the_k0_bound():
+    # |K_2iT(z)| <= K_0(z) for z > 0 (DLMF 10.32.9) and K_0 decreases, so
+    # the Bessel form gives |Psi+(x)| <= 4x cosh(pi T) ||psi||_1 K_0(4 pi sqrt x),
+    # an oracle with no contour; the engine's values lie under it plus their
+    # stated error, at the (7, 1, 50) dual-sum arguments and on [1e-3, 2e4]
+    norm, _ = quad(lambda y: math.exp(4 - 1 / ((y - 1) * (2 - y))), 1, 2,
+                   epsabs=1e-14)
+    for xs in (DUAL_XS, np.geomspace(1e-3, 2e4, 400)):
+        vals, errors = weights._psi_contour(xs, default_bump(), T_F, 0.0)
+        bound = 4 * xs * math.cosh(math.pi * T_F) * norm * k0(4 * math.pi * np.sqrt(xs))
+        assert np.all(np.abs(vals[0]) <= bound + sum(errors.values())[0])
 
 
 def test_psi_batch_matches_scalar():
@@ -388,9 +420,8 @@ def test_psi_batch_matches_scalar():
 
 
 def _bump_mellin(s):
-    # psi~(s) by the program's node rule, validated to 1e-12 for |Im s| <= 640
-    return _mellin_dense(_mellin_rule(default_bump(), 640.0, 1e-12),
-                         np.atleast_1d(s))
+    # psi~(s) by the oracle's node rule, validated to 1e-12 for |Im s| <= 640
+    return mellin_dense(mellin_rule(640.0, 1e-12), np.atleast_1d(s))
 
 
 def test_bump_profile_and_mellin():
@@ -422,13 +453,13 @@ def test_ladder_lines_lie_under_the_k8_bound():
 
 
 def test_fft_line_matches_the_node_rule():
-    # the FFT line against the Gauss-Legendre Mellin rule, a second
-    # algorithm, at every 10th sample with t <= 640 (measured: 5.6e-15)
-    rule = _mellin_rule(default_bump(), 640.0, 1e-12)
+    # the FFT line against the Gauss-Legendre Mellin rule of the oracle, a
+    # second algorithm, at every 10th sample with t <= 640 (measured: 5.6e-15)
+    rule = mellin_rule(640.0, 1e-12)
     for C in _LINE_CS:
         t, a, _, _ = _bump_mellin_line(C)
         sel = np.arange(0, np.searchsorted(t, 640.0, side="right"), 10)
-        dense = np.abs(_mellin_dense(rule, -C - 1j * t[sel]))
+        dense = np.abs(mellin_dense(rule, -C - 1j * t[sel]))
         assert np.max(np.abs(dense - a[sel])) <= 1e-13 * np.max(a), C
 
 
