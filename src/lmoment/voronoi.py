@@ -125,9 +125,11 @@ def voronoi_rhs(f: HeckeSystem, d: int, mod: PrimeModulus, N: int,
     lam = f.coefficients_upto(M)[1:]
     x = n * (N / q ** 2)
     pp, pm = psi_pm_many(x, psi, f.T_f)
-    phase = np.exp(2j * math.pi * ((n * (d % q)) % q) / q)
-    term_p = (lam / n) * phase * pp
-    term_m = (lam / n) * np.conj(phase) * pm
+    # e(n d / q) read from the q roots of unity, each the same expression
+    phase = np.exp(2j * math.pi * np.arange(q) / q)[(n * (d % q)) % q]
+    weight = lam / n
+    term_p = weight * phase * pp
+    term_m = weight * np.conj(phase) * pm
     value = q * (complex(np.sum(term_p)) + complex(np.sum(term_m)))
     half = M // 2
     value_half = q * (complex(np.sum(term_p[:half]))

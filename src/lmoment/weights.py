@@ -7,8 +7,11 @@ evaluates them.  Its kernels satisfy Schwarz reflection, checked on each line
 (_half_line), so it samples the half line t_k = 2 pi k / L, takes the
 trapezoid sum onto a uniform u-grid of period L by one inverse real FFT
 (_trapezoid_grid) and reads each argument from a _STENCIL-point barycentric
-stencil (_interpolate).  Each call states three error terms per argument and
-raises QuadratureFailure where their sum exceeds half its tolerance:
+stencil (_interpolate).  The grid of each line is built once per form and
+cached (_psi_grid, _v2_grid); its rows are padded with wrapped points, so
+that each stencil is one contiguous window of a row.  Each call states three
+error terms per argument and raises QuadratureFailure where their sum exceeds
+half its tolerance:
 
 - aliasing, empirical: by Poisson summation the trapezoid sum adds
   e^(c j L) W(x e^(jL)) over j != 0, bounded by the decay ladders, which are
@@ -41,6 +44,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaincc, loggamma
 
 from .errors import QuadratureFailure
@@ -403,42 +407,49 @@ def _half_line(kernel, L: float, K: int) -> np.ndarray:
 
 
 def _trapezoid_grid(line: np.ndarray, L: float):
-    """(grid, deriv), read-only: S_j(u) = (dt / 2 pi) sum over |k| <= K of
+    """(win, deriv), read-only: S_j(u) = (dt / 2 pi) sum over |k| <= K of
     k_j(c + i t_k) e^(-iu t_k), dt = 2 pi / L, from the half line
-    line[j, k], on the grid u_m = m L / _U_FFT, where it is real and of
-    period L; and deriv_j = (dt / pi) sum_k |line[j, k]| t_k^P >= |S_j^(P)|,
-    P = _STENCIL."""
-    N, nodes = _U_FFT, line.shape[1]
+    line[j, k], on the grid u_m = m L / N, N = _U_FFT, where it is real and
+    of period L; and deriv_j = (dt / pi) sum_k |line[j, k]| t_k^P >= |S_j^(P)|,
+    P = _STENCIL.  Each row is padded with P wrapped points at each end, and
+    win[j, s], s = 0 .. N + P, is the contiguous window of its P values at
+    u_m, m = s - P .. s - 1 (mod N): a view of shape (rows, N + P + 1, P)."""
+    N, P, nodes = _U_FFT, _STENCIL, line.shape[1]
     if nodes > N // 2:
         raise QuadratureFailure(f"{nodes} nodes exceed the {N}-point u-grid")
     dt = TWO_PI / L
     grid = np.fft.irfft(np.conj(line) * (N * dt / TWO_PI), n=N, axis=-1)
-    deriv = (dt / math.pi) * (np.abs(line) @ (dt * np.arange(nodes)) ** _STENCIL)
-    grid.flags.writeable = deriv.flags.writeable = False
-    return grid, deriv
+    padded = np.concatenate([grid[:, N - P:], grid, grid[:, :P]], axis=1)
+    deriv = (dt / math.pi) * (np.abs(line) @ (dt * np.arange(nodes)) ** P)
+    deriv.flags.writeable = False
+    return sliding_window_view(padded, P, axis=-1, writeable=False), deriv
 
 
-def _interpolate(grid, deriv, L: float, base: float, c: float, xs: np.ndarray):
+def _interpolate(win, deriv, L: float, base: float, c: float, xs: np.ndarray):
     """(values, interpolation error), each (rows, xs.size), of
     (base x)^(-c) S_j(u), u = log(base x), by the barycentric formula on the
-    P = _STENCIL grid points around u; the error is the Lagrange remainder
-    |omega(u)| deriv_j / P!, omega the product of the distances to them."""
-    N, P = grid.shape[1], _STENCIL
+    P grid points around u, one window of _trapezoid_grid, P its length; the
+    error is the Lagrange remainder |omega(u)| deriv_j / P!, omega the
+    product of the distances to them."""
+    P = win.shape[-1]
+    N = win.shape[1] - P - 1
     h = L / N
     u = np.log(base * xs)
     p = np.mod(u, L) / h
     m0 = np.floor(p)
-    # (u - u_i) / h at the stencil points u_i, i = m0 - P/2 + 1 .. m0 + P/2
-    d = (p - m0)[:, None] + (P // 2 - 1 - np.arange(P))
-    idx = (m0.astype(np.int64)[:, None] + np.arange(1 - P // 2, 1 + P // 2)) % N
+    # (u - u_i) / h at the stencil points u_i, i = m0 - P/2 + 1 .. m0 + P/2,
+    # one row per point, each a contiguous vector over the arguments; the
+    # window of the u_i starts at index m0 + P/2 + 1 of the padded row
+    d = (p - m0) + (P // 2 - 1 - np.arange(P))[:, None]
+    stencil = win[:, m0.astype(np.int64) + (P // 2 + 1)]
+    on_grid = d[P // 2 - 1] == 0
+    omega = h ** P * np.abs(np.prod(d, axis=0))
     w = np.array([(-1) ** i * math.comb(P - 1, i) for i in range(P)], float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        wd = w / d
-        vals = np.einsum("jnp,np->jn", grid[:, idx], wd) / np.sum(wd, axis=1)
-    on_grid = d[:, P // 2 - 1] == 0
-    vals[:, on_grid] = grid[:, idx[on_grid, P // 2 - 1]]
+        wd = np.divide(w[:, None], d, out=d)     # d is not read again
+        vals = np.einsum("jnp,pn->jn", stencil, wd) / np.sum(wd, axis=0)
+    vals[:, on_grid] = stencil[:, on_grid, P // 2 - 1]
     pref = np.exp(-c * u)
-    omega = h ** P * np.prod(np.abs(d), axis=1)
     return vals * pref, np.outer(deriv, omega * pref / math.factorial(P))
 
 
@@ -457,11 +468,10 @@ def _check_stated(errors: dict, tol: float, what: str) -> None:
         raise QuadratureFailure(f"{what}: stated error {total:.2e} > {tol / 2:.1e}")
 
 
-@lru_cache(maxsize=8)
 def _psi_kernel_line(psi: TestFunction, sigma: float, T_f: float, K: int):
     """(line, alias): G_{+-}(sigma + i t_k) psi~(-sigma - i t_k), k = 0..K,
-    rows (+, -), read-only, with G checked for Schwarz reflection; and per
-    row the FFT aliasing of the psi~ samples carried into the sum,
+    rows (+, -), with G checked for Schwarz reflection; and per row the FFT
+    aliasing of the psi~ samples carried into the sum,
     (dt / pi) sum_k |G| zeta(8) (B(2 pi / h) + B(2 pi / h - t_K))."""
     L = _LINE_PAD * math.log(2.0)
     bump = _bump_fft(psi, sigma)
@@ -472,9 +482,17 @@ def _psi_kernel_line(psi: TestFunction, sigma: float, T_f: float, K: int):
     h = L / _LINE_FFT
     bound = psi.mellin_line_bound(-sigma, 8)
     sample = _ZETA8 * (bound(TWO_PI / h) + bound(TWO_PI / h - K * TWO_PI / L))
-    line = G * bump[:K + 1]
-    line.flags.writeable = False
-    return line, (2.0 / L) * sample * np.sum(np.abs(G), axis=1)
+    return G * bump[:K + 1], (2.0 / L) * sample * np.sum(np.abs(G), axis=1)
+
+
+@lru_cache(maxsize=8)
+def _psi_grid(psi: TestFunction, sigma: float, T_f: float, K: int):
+    """((win, deriv), alias): the engine's u-grid of the Psi+- line to height
+    index K (_trapezoid_grid), built once per form, abscissa and height, and
+    the line's sample aliasing (_psi_kernel_line)."""
+    line, sample_alias = _psi_kernel_line(psi, sigma, T_f, K)
+    sample_alias.flags.writeable = False
+    return _trapezoid_grid(line, _LINE_PAD * math.log(2.0)), sample_alias
 
 
 def _psi_contour(xs: np.ndarray, psi: TestFunction, T_f: float, sigma: float):
@@ -490,8 +508,8 @@ def _psi_contour(xs: np.ndarray, psi: TestFunction, T_f: float, sigma: float):
             raise QuadratureFailure("Psi integrand tail does not reach tolerance")
         H = max(H, float(tg[int(ok.min())]))
     L = _LINE_PAD * math.log(2.0)
-    line, sample_alias = _psi_kernel_line(psi, sigma, T_f, math.ceil(H * L / TWO_PI))
-    vals, interp = _interpolate(*_trapezoid_grid(line, L), L, math.pi ** 2, sigma, xs)
+    grid, sample_alias = _psi_grid(psi, sigma, T_f, math.ceil(H * L / TWO_PI))
+    vals, interp = _interpolate(*grid, L, math.pi ** 2, sigma, xs)
     u = np.log(math.pi ** 2 * xs)
     ladders = [psi_decay_ladder(T_f, sign) for sign in (+1, -1)]
     errors = {
@@ -509,8 +527,8 @@ def v1_many(xs) -> np.ndarray:
     """V1 on an array of arguments by its closed form Q(1/4, pi x^2), the
     normalized upper incomplete gamma function."""
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise ValueError("arguments must be positive")
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise ValueError("arguments must be positive and finite")
     return gammaincc(0.25, math.pi * xs * xs)
 
 

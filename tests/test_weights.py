@@ -28,8 +28,10 @@ def psi_bound(x, T_f, sign):
 
 
 def v2_bound(x, T_f):
-    # the ladder's |V2(x)| <= min_C B_C (pi x)^-C, capped at 1.2 for x < 1
-    return min([B * (math.pi * x) ** -C for C, B in v2_decay_ladder(T_f)] + [1.2])
+    # the ladder's |V2(x)| <= min_C B_C (pi x)^-C, and from the line
+    # Re s = -1/4 |V2(x)| <= 1 + B (pi x)^(1/4) (_v2_left_bound)
+    return min([B * (math.pi * x) ** -C for C, B in v2_decay_ladder(T_f)]
+               + [1 + weights._v2_left_bound(T_f) * (math.pi * x) ** 0.25])
 
 
 def _g_pm_four_gamma(s, T_f, sign):
@@ -313,6 +315,59 @@ def test_fft_contour_matches_dense_sum(monkeypatch):
                 assert np.all(err <= rounding)
 
 
+def _on_grid(L, base, us):
+    # arguments x whose u = log(base x) is exactly a grid point: the doubles
+    # next to e^u / base, stepped finer than the spacing of u, and kept where
+    # u mod L is an integer number of grid steps
+    h = L / weights._U_FFT
+    x = np.exp(np.repeat(us, 801)) / base * (
+        1 + np.tile(np.arange(-400, 401), len(us)) * 2.0 ** -53)
+    p = np.mod(np.log(base * x), L) / h
+    return np.unique(x[p == np.floor(p)])
+
+
+def test_interpolate_at_the_period_edges():
+    # each stencil is one window of the padded grid: at arguments whose
+    # u mod L lies within P/2 grid steps of 0 or of L the window reaches the
+    # wrapped points, and the engine must still match the dense trapezoid
+    # sum, off the grid within the stated error and on it (including
+    # u = L, where u mod L = 0) within rounding
+    v2_line = _half_line(lambda t: weights._v2_kernel(0.5 + 1j * t, T_F)[None],
+                         128.0, 969)
+    P = weights._STENCIL
+    for line, L, base, c in (
+            (weights._psi_kernel_line(default_bump(), 0.0, T_F, 7371)[0],
+             PSI_L, math.pi ** 2, 0.0),
+            (v2_line, 128.0, math.pi, 0.5)):
+        win, deriv = _trapezoid_grid(line, L)
+        assert win.shape == (line.shape[0], weights._U_FFT + P + 1, P)
+        assert not win.flags.writeable
+        h = L / weights._U_FFT
+        steps = h * (np.arange(-P // 2 - 1, P // 2 + 1)[:, None]
+                     + np.array([0.1, 0.5, 0.93])).ravel()
+        off = np.exp(np.concatenate([steps, L + steps])) / base
+        on = _on_grid(L, base, np.concatenate([[L], L - h * np.arange(1, P)]))
+        assert np.any(np.log(base * on) == L) and on.size >= P // 2
+        for xs, interp in ((off, True), (on, False)):
+            got, err = _interpolate(win, deriv, L, base, c, xs)
+            want, rounding = _dense_trapezoid(line, L, base, c, xs)
+            assert np.all(np.abs(got - want) <= err + rounding)
+            assert np.all(err > 0) if interp else np.all(err == 0)
+
+
+def test_psi_values_do_not_depend_on_the_call():
+    # every argument is read from the same cached grid: a permutation or a
+    # subset of the dual-sum arguments, before or after the cache is
+    # rebuilt, gives the values of the full call bit for bit
+    bump = default_bump()
+    full = psi_pm_many(DUAL_XS, bump, T_F)
+    order = np.random.default_rng(5).permutation(DUAL_XS.size)
+    weights._psi_grid.cache_clear()
+    for sel in (order, np.arange(0, DUAL_XS.size, 7), np.arange(5000, 5100)):
+        for got, want in zip(psi_pm_many(DUAL_XS[sel], bump, T_F), full):
+            assert np.array_equal(got, want[sel])
+
+
 def _reflecting_kernel(rng, rows):
     # k_j(c + it) = sum_m a_jm e^{i b_jm t} e^{-(t/40)^2} with real a, b, so
     # that k_j(c - it) = conj k_j(c + it)
@@ -376,6 +431,7 @@ def test_engine_refuses_a_grid_it_cannot_certify(monkeypatch):
     for name, value in (("_U_FFT", 1 << 12), ("_STENCIL", 2)):
         with monkeypatch.context() as m:
             m.setattr(weights, name, value)
+            weights._psi_grid.cache_clear()
             weights._v2_grid.cache_clear()
             _v2_piece.cache_clear()
             try:
@@ -384,6 +440,7 @@ def test_engine_refuses_a_grid_it_cannot_certify(monkeypatch):
                 with pytest.raises(QuadratureFailure):
                     _v2_piece(T_F, 0)
             finally:
+                weights._psi_grid.cache_clear()
                 weights._v2_grid.cache_clear()
                 _v2_piece.cache_clear()
 
@@ -394,6 +451,12 @@ def test_psi_rejects_non_finite_arguments():
             psi_pm_many(np.array(xs), default_bump(), T_F)
     pp, pm = psi_pm_many(np.zeros(0), default_bump(), T_F)
     assert pp.shape == pm.shape == (0,)
+
+
+def test_v1_rejects_non_finite_arguments():
+    for xs in ([math.nan], [math.inf], [1.0, math.nan], [-1.0], [0.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            v1_many(np.array(xs))
 
 
 def test_psi_plus_under_the_k0_bound():
@@ -505,8 +568,9 @@ def test_mellin_decay_is_stretched_exponential():
 
 def test_v_bounds_dominate_values():
     # the certified bound must dominate the true value; the computed value
-    # carries quadrature noise of order tol, hence the additive allowance
-    for x in np.geomspace(0.2, 6.0, 12):
+    # carries quadrature noise of order tol, hence the additive allowance.
+    # V2 peaks at 1.281 near x = 1.555
+    for x in np.append(np.geomspace(0.2, 6.0, 12), 1.555):
         assert abs(v1(float(x))) <= v1_bound(float(x)) + 1e-9
         assert abs(v2(float(x), T_F)) <= v2_bound(float(x), T_F) + 1e-9
 
