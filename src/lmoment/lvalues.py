@@ -20,9 +20,9 @@ from .characters import DirichletCharacter
 from .errors import (InsufficientData, OddCharacter, PoleError,
                      PrincipalCharacter)
 from .expsums import gauss_sum
+from . import weights
 from .hecke import HeckeSystem
-from .weights import (v1_bound, v1_many, v2_decay_ladder, v2_many,
-                      v2_table_error)
+from .weights import v1_bound, v1_many, v2_decay_ladder, v2_many
 
 HURWITZ_TOL = 1e-12
 
@@ -177,12 +177,13 @@ def afe2_err_estimate(f: HeckeSystem, q: int, N: int,
     coefficient-data contributions; abs_coef is the array
     |lambda(n) V2(n/q)| / sqrt(n) over the kept range.
 
-    The per-point V2 error is the table's own, v2_table_error over
-    [1/q, N/q]: the contour tolerance plus an a-posteriori deviation."""
+    The per-point V2 error is weights._V_TOL, read at call time: v2_many
+    reads every value from the contour engine, which refuses a call whose
+    stated error (aliasing, truncation and interpolation) exceeds _V_TOL / 2
+    at any point."""
     n = np.arange(1, N + 1)
     tail = 2.0 * _v2_tail_certificate(N, q, f.T_f)
-    per_point = v2_table_error(f.T_f, 1.0 / q, N / q)
-    quad = 2.0 * per_point * float(np.sum(2.0 * n ** 0.11 / np.sqrt(n)))
+    quad = 2.0 * weights._V_TOL * float(np.sum(2.0 * n ** 0.11 / np.sqrt(n)))
     return tail + quad + 2.0 * f.data_precision * float(np.sum(abs_coef))
 
 

@@ -6,12 +6,12 @@ W(x) = (base x)^(-c) (1/2 pi) int k(c + it) e^(-iut) dt.  One contour engine
 evaluates them.  Its kernels satisfy Schwarz reflection, checked on each line
 (_half_line), so it samples the half line t_k = 2 pi k / L, takes the
 trapezoid sum onto a uniform u-grid of period L by one inverse real FFT
-(_trapezoid_grid) and reads each argument from a _STENCIL-point barycentric
-stencil (_interpolate).  The grid of each line is built once per form and
-cached (_psi_grid, _v2_grid); its rows are padded with wrapped points, so
-that each stencil is one contiguous window of a row.  Each call states three
-error terms per argument and raises QuadratureFailure where their sum exceeds
-half its tolerance:
+(_trapezoid_grid) and reads each argument from a barycentric stencil
+(_interpolate) of _STENCIL points for Psi+- and _V2_STENCIL for V2.  The grid
+of each line is built once per form and cached (_psi_grid, _v2_grid); its
+rows are padded with wrapped points, so that each stencil is one contiguous
+window of a row.  Each call states three error terms per argument and raises
+QuadratureFailure where their sum exceeds half its tolerance:
 
 - aliasing, empirical: by Poisson summation the trapezoid sum adds
   e^(c j L) W(x e^(jL)) over j != 0, bounded by the decay ladders, which are
@@ -23,9 +23,9 @@ half its tolerance:
   of the trapezoid sum bounded by (dt / pi) sum_k |k(c + i t_k)| t_k^P.
 Rounding, about 1e-16 of (dt / pi) sum_k |k(c + i t_k)|, is not stated.
 
-psi_pm_many reads both Psi+- from one engine call.  v2_many reads per-form
-Chebyshev pieces in log x over the dyadic intervals [2^j, 2^(j+1)], each
-fitted once to the engine and checked off its nodes against it.  The gamma
+psi_pm_many reads both Psi+- from one engine call.  v2_many reads V2 straight
+from the engine, an 8-point stencil on its own grid, at a stated error of at
+most _V_TOL / 2 per point; the AFE charges _V_TOL per point.  The gamma
 factors are written once (_v2_kernel, g_pm) from scipy.special.loggamma; G+-
 in its closed form, in log space.  The bump's Mellin transform on a vertical
 line is a 2^16-point FFT (_bump_fft) on the Psi engine's grid t_k; beyond its
@@ -65,7 +65,7 @@ def gamma_line_bound(sigma: float, y: float) -> float:
     return 2.0 * math.sqrt(2 * math.pi) * (y ** (sigma - 0.5)) * math.exp(-math.pi * y / 2 + 1.0 / (6 * y))
 
 
-# Target accuracy of V2 at each point of its table (v2_table_error).
+# Target accuracy of V2 at each point (afe2_err_estimate charges it per point).
 _V_TOL = 1e-10
 
 # The abscissa of the V2 engine: at c = 1 the integrand carries (pi x)^-1,
@@ -78,10 +78,12 @@ _V2_L = 128.0
 # Target accuracy of the Psi+- kernels.
 _PSI_TOL = 1e-9
 
-# Points per period of the engine's u-grid and of its interpolation stencil:
-# stated interpolation errors below 1e-16 for the (7, 1, 50) dual sum.
+# Points per period of the engine's u-grid and of the interpolation stencils:
+# stated interpolation errors below 1e-16 for the (7, 1, 50) dual sum at 12
+# points, and below 1.2e-15 for V2 at 8.
 _U_FFT = 1 << 16
 _STENCIL = 12
+_V2_STENCIL = 8
 
 
 def _grow_height(tail_bound, tol: float, h0: float = 20.0, hmax: float = 6000.0) -> float:
@@ -406,15 +408,16 @@ def _half_line(kernel, L: float, K: int) -> np.ndarray:
     return line
 
 
-def _trapezoid_grid(line: np.ndarray, L: float):
+def _trapezoid_grid(line: np.ndarray, L: float, P: int):
     """(win, deriv), read-only: S_j(u) = (dt / 2 pi) sum over |k| <= K of
     k_j(c + i t_k) e^(-iu t_k), dt = 2 pi / L, from the half line
     line[j, k], on the grid u_m = m L / N, N = _U_FFT, where it is real and
     of period L; and deriv_j = (dt / pi) sum_k |line[j, k]| t_k^P >= |S_j^(P)|,
-    P = _STENCIL.  Each row is padded with P wrapped points at each end, and
-    win[j, s], s = 0 .. N + P, is the contiguous window of its P values at
-    u_m, m = s - P .. s - 1 (mod N): a view of shape (rows, N + P + 1, P)."""
-    N, P, nodes = _U_FFT, _STENCIL, line.shape[1]
+    P the stencil length.  Each row is padded with P wrapped points at each
+    end, and win[j, s], s = 0 .. N + P, is the contiguous window of its P
+    values at u_m, m = s - P .. s - 1 (mod N): a view of shape
+    (rows, N + P + 1, P)."""
+    N, nodes = _U_FFT, line.shape[1]
     if nodes > N // 2:
         raise QuadratureFailure(f"{nodes} nodes exceed the {N}-point u-grid")
     dt = TWO_PI / L
@@ -430,7 +433,12 @@ def _interpolate(win, deriv, L: float, base: float, c: float, xs: np.ndarray):
     (base x)^(-c) S_j(u), u = log(base x), by the barycentric formula on the
     P grid points around u, one window of _trapezoid_grid, P its length; the
     error is the Lagrange remainder |omega(u)| deriv_j / P!, omega the
-    product of the distances to them."""
+    product of the distances to them.  A lone argument is evaluated as a
+    pair: numpy would sum its P stencil terms pairwise, and a batch's in
+    order, so that every call size gives the batch value bit for bit."""
+    if xs.size == 1:
+        vals, err = _interpolate(win, deriv, L, base, c, np.repeat(xs, 2))
+        return vals[:, :1], err[:, :1]
     P = win.shape[-1]
     N = win.shape[1] - P - 1
     h = L / N
@@ -458,9 +466,12 @@ def _alias(ladder, c: float, L: float, u: np.ndarray, side: int) -> np.ndarray:
     (side = 1) or j <= -1 (side = -1), u = log(base x), for a weight with
     |W(x)| <= B (base x)^(-C) at each (C, B) of ladder: the least over the C
     with (C - c) side > 0 of a geometric series of ratio e^(-|C - c| L)."""
-    logs = [math.log(B) - g - math.log(-math.expm1(-g)) - C * u
-            for C, B in ladder if (g := side * (C - c) * L) > 0]
-    return np.exp(np.min(logs, axis=0, initial=np.inf))
+    least = np.full(u.shape, np.inf)
+    for C, B in ladder:
+        if (g := side * (C - c) * L) > 0:
+            log_b = math.log(B) - g - math.log(-math.expm1(-g))
+            np.minimum(least, log_b - C * u, out=least)
+    return np.exp(least)
 
 
 def _check_stated(errors: dict, tol: float, what: str) -> None:
@@ -492,7 +503,8 @@ def _psi_grid(psi: TestFunction, sigma: float, T_f: float, K: int):
     the line's sample aliasing (_psi_kernel_line)."""
     line, sample_alias = _psi_kernel_line(psi, sigma, T_f, K)
     sample_alias.flags.writeable = False
-    return _trapezoid_grid(line, _LINE_PAD * math.log(2.0)), sample_alias
+    grid = _trapezoid_grid(line, _LINE_PAD * math.log(2.0), _STENCIL)
+    return grid, sample_alias
 
 
 def _psi_contour(xs: np.ndarray, psi: TestFunction, T_f: float, sigma: float):
@@ -532,22 +544,6 @@ def v1_many(xs) -> np.ndarray:
     return gammaincc(0.25, math.pi * xs * xs)
 
 
-# A V2 table piece starts at this Chebyshev degree and doubles it, up to the
-# cap, until it passes the off-node check.
-_V2_DEGREE0 = 16
-_V2_DEGREE_CAP = 256
-
-
-def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant through vals at the points
-    cos(pi k / n), k = 0..n (a DCT-I by real FFT of the even extension)."""
-    n = vals.size - 1
-    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
-    c[0] /= 2
-    c[n] /= 2
-    return c
-
-
 @lru_cache(maxsize=8)
 def _v2_left_bound(T_f: float) -> float:
     """B with |V2(x) - 1| <= B (pi x)^(1/4), from Re s = -1/4: the contour
@@ -558,79 +554,36 @@ def _v2_left_bound(T_f: float) -> float:
 @lru_cache(maxsize=8)
 def _v2_grid(T_f: float, K: int):
     return _trapezoid_grid(_half_line(
-        lambda t: _v2_kernel(_V2_C + 1j * t, T_f)[None], _V2_L, K), _V2_L)
+        lambda t: _v2_kernel(_V2_C + 1j * t, T_f)[None], _V2_L, K),
+        _V2_L, _V2_STENCIL)
 
 
-def _v2_engine(xs: np.ndarray, T_f: float) -> np.ndarray:
-    """V2 at xs by the engine at Re s = _V2_C; aliasing by v2_decay_ladder
-    at x e^L and |V2| <= 1 + B (pi x)^(1/4) (_v2_left_bound) at x e^(-L)."""
-    x_min = float(xs.min())
+def v2_many(xs, T_f: float) -> np.ndarray:
+    """V2 on an array of arguments by the engine at Re s = _V2_C, to the
+    height where the proven truncation bound at the smallest argument meets
+    _V_TOL / 10; aliasing by v2_decay_ladder at x e^L and by
+    |V2| <= 1 + B (pi x)^(1/4) (_v2_left_bound) at x e^(-L).  A value depends
+    on (x, T_f) and that height, which is the same for every call whose
+    smallest argument exceeds 1e-9."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise ValueError("arguments must be positive and finite")
+    if xs.size == 0:
+        return np.zeros(xs.shape)
+    flat = xs.ravel()
+    x_min = float(flat.min())
     tail = _v2_tail_bound(x_min, T_f, _V2_C)
     H = _grow_height(tail, _V_TOL, h0=2 * abs(T_f) + 20.0)
     grid = _v2_grid(T_f, math.ceil(H * _V2_L / TWO_PI))
-    vals, interp = _interpolate(*grid, _V2_L, math.pi, _V2_C, xs)
-    u = np.log(math.pi * xs)
+    vals, interp = _interpolate(*grid, _V2_L, math.pi, _V2_C, flat)
+    u = np.log(math.pi * flat)
     alias = (_alias(v2_decay_ladder(T_f), _V2_C, _V2_L, u, 1)
              + _alias([(0.0, 1.0)], _V2_C, _V2_L, u, -1)
              + _alias([(-0.25, _v2_left_bound(T_f))], _V2_C, _V2_L, u, -1))
     _check_stated({"aliasing": alias,
-                   "truncation": tail(H) * (x_min / xs) ** _V2_C,
+                   "truncation": tail(H) * (x_min / flat) ** _V2_C,
                    "interpolation": interp[0]}, _V_TOL, "V2 contour")
-    return vals[0]
-
-
-@lru_cache(maxsize=256)
-def _v2_piece(T_f: float, j: int) -> tuple[np.ndarray, float]:
-    """(coefficients, delta) of the V2 table piece for x in [2^j, 2^(j+1)]: a
-    Chebyshev interpolant in t = 2 log2(x) - 2j - 1, and its largest
-    deviation from the contour engine at the check points, the odd points
-    cos(pi k / 2n) between its degree-n nodes.  A degree passes when delta
-    is at most _V_TOL/2.  Each piece is built once per (T_f, j) from its own
-    nodes, so no value depends on which arguments were asked first."""
-    n = _V2_DEGREE0
-    while n <= _V2_DEGREE_CAP:
-        s = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
-        vals = _v2_engine(2.0 ** (j + 0.5 * (s + 1.0)), T_f)
-        coef = _cheb_coeffs(vals[::2])
-        dev = np.abs(np.polynomial.chebyshev.chebval(s[1::2], coef) - vals[1::2])
-        if np.all(dev <= _V_TOL / 2):
-            coef.flags.writeable = False
-            return coef, float(dev.max())
-        n *= 2
-    raise QuadratureFailure(
-        f"V2 table piece [2^{j}, 2^{j + 1}] failed its off-node check")
-
-
-def _dyadic(xs: np.ndarray):
-    """(j, t) with x = 2^j 2^((t+1)/2), t in [-1, 1): the table piece and the
-    Chebyshev variable of each argument, exact at the piece edges."""
-    m, e = np.frexp(xs)          # xs = m 2^e with m in [1/2, 1)
-    return e - 1, 2.0 * np.log2(m) + 1.0
-
-
-def v2_table_error(T_f: float, x_lo: float, x_hi: float) -> float:
-    """Per-point error of the V2 table on [x_lo, x_hi]: _V_TOL, twice the
-    engine's bound on its stated error, plus delta, the largest deviation of
-    the table from the engine at the check points of every piece that meets
-    the interval (an a-posteriori check, not a proven bound)."""
-    j_lo, j_hi = (int(j) for j in _dyadic(np.array([x_lo, x_hi]))[0])
-    return _V_TOL + max(_v2_piece(T_f, j)[1] for j in range(j_lo, j_hi + 1))
-
-
-def v2_many(xs, T_f: float) -> np.ndarray:
-    """V2 on an array of arguments, read from the per-form table of dyadic
-    Chebyshev pieces; each value depends only on (x, T_f)."""
-    xs = np.asarray(xs, dtype=float)
-    if not np.all((xs > 0) & np.isfinite(xs)):
-        raise ValueError("arguments must be positive and finite")
-    flat = xs.ravel()
-    j, t = _dyadic(flat)
-    out = np.empty(flat.shape)
-    for jj in np.unique(j):
-        sel = j == jj
-        out[sel] = np.polynomial.chebyshev.chebval(
-            t[sel], _v2_piece(T_f, int(jj))[0])
-    return out.reshape(xs.shape)
+    return vals[0].reshape(xs.shape)
 
 
 def psi_pm_many(xs, psi: TestFunction, T_f: float,

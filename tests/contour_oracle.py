@@ -2,7 +2,7 @@
 
 The oracle for lmoment.weights.v1_many and v2_many.  It imports nothing from
 lmoment: its gamma ratios come from scipy.special.gamma, not from the
-loggamma kernel of the V2 table, and its quadrature, heights and tail bounds
+loggamma kernel of the V2 engine, and its quadrature, heights and tail bounds
 are its own.  On the line Re s = c > 0,
 
     V1(x) = (1/2 pi i) int Gamma((2s+1)/4) / Gamma(1/4) (sqrt(pi) x)^-s ds/s,

@@ -173,9 +173,8 @@ def test_twist_err_estimate_is_upper_bound(real_f):
 
 
 def test_twist_error_reads_the_v2_tolerance(real_f, monkeypatch):
-    # the per-point V2 error is the table's tolerance, not a copy of it: the
-    # first, unpatched call builds every table piece it reads, so that no
-    # piece is cached at the patched tolerance
+    # the per-point V2 error is the engine's tolerance, read at call time,
+    # not a copy of it
     q = 101
     N = afe2_cutoff(q)
     before = afe2_err_estimate(real_f, q, N, np.zeros(N))

@@ -46,6 +46,56 @@ def test_oracle_diff_verdicts(tmp_path, capsys):
     assert oracle_diff.main([old, _write(tmp_path / "short.json", rows[:1])]) == 1
 
 
+def _moment_doc(**certs):
+    doc = {"command": "moment", "inputs": {"q": 13, "witness_threshold": 1e-6},
+           "outputs": _row(13, 1.1, [2, 4, 6, 8, 10]),
+           "certificates": {"decomposition_residual": 2e-17,
+                            "err_dirichlet": 2.0e-10, "err_twist": 3.3e-6,
+                            "imag_residual": 8e-17}}
+    doc["certificates"].update(certs)
+    return doc
+
+
+def test_oracle_diff_moment_verdicts(tmp_path, capsys):
+    def verdict(doc):
+        path = tmp_path / "new.json"
+        path.write_text(json.dumps(doc))
+        code = oracle_diff.main([str(old), str(path)])
+        return code, capsys.readouterr().out
+
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(_moment_doc()))
+
+    # the row as for a scan; bounds that shrink, and residuals that grow
+    # (they are not bounds), still agree
+    same = _moment_doc(err_twist=3.2e-6, imag_residual=9e-17)
+    same["outputs"]["ratio"] += 2.0 ** -40     # exact: 9.09e-13
+    same["outputs"]["witnesses"].reverse()
+    code, out = verdict(same)
+    assert code == 0 and "verdict: agree" in out
+    assert "max |d ratio|: 9.09e-13 (q=13)" in out
+    assert "err_twist: 3.300000e-06 -> 3.200000e-06" in out
+
+    code, out = verdict(_moment_doc(err_twist=3.3e-6 * (1 + 1e-9)))
+    assert code == 1 and "err_twist" in out and "GREW" in out
+    assert verdict(_moment_doc(err_dirichlet=2.1e-10))[0] == 1
+    moved = _moment_doc()
+    moved["outputs"]["ratio"] += 1e-9
+    assert verdict(moved)[0] == 1
+    lost = _moment_doc()
+    lost["outputs"]["witnesses"].pop()
+    code, out = verdict(lost)
+    assert code == 1 and "differ at q=[13]" in out
+    other = _moment_doc()
+    other["inputs"]["witness_threshold"] = 1e-3
+    code, out = verdict(other)
+    assert code == 1 and "inputs differ" in out
+
+    voronoi = tmp_path / "voronoi.json"
+    voronoi.write_text(json.dumps(_voronoi_doc()))
+    assert oracle_diff.main([str(old), str(voronoi)]) == 2
+
+
 def _voronoi_doc(**certs):
     doc = {"command": "voronoi", "inputs": {"q": 7, "d": 1, "N": 50},
            "outputs": {"q": 7, "d": 1, "N": 50,

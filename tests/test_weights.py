@@ -16,7 +16,7 @@ from lmoment.errors import QuadratureFailure
 from lmoment.weights import (default_bump, g_pm, psi_decay_ladder, psi_pm_many,
                              v1_bound, v1_many, v2_decay_ladder, v2_many,
                              _bump_mellin_line, _half_line, _interpolate,
-                             _trapezoid_grid, _v2_piece)
+                             _trapezoid_grid)
 from mellin_oracle import mellin_dense, mellin_rule
 
 T_F = 13.7797513518907
@@ -252,8 +252,9 @@ def test_batch_matches_scalar():
     vb = v1_many(xs)
     for i, x in enumerate(xs):
         assert abs(vb[i] - v1(float(x))) < 3e-10
-    # V2 table: piece edges 2^j and their neighbours, the smallest argument
-    # probed by the small-x tests and the largest cutoff-doubling argument
+    # V2: the powers 2^j over 16 octaves and their neighbours, the smallest
+    # argument probed by the small-x tests and the largest cutoff-doubling
+    # argument
     edges = 2.0 ** np.arange(-12, 4)
     xs = np.concatenate([xs, edges, edges * (1 - 1e-9), edges * (1 + 1e-9),
                          [1e-6, 14.4]])
@@ -262,12 +263,12 @@ def test_batch_matches_scalar():
         assert abs(vb[i] - v2(float(x), T_F)) < 3e-10
 
 
-def test_v2_table_history_independence():
-    # a value depends only on (x, T_f): not on the order in which the table
-    # pieces were built, nor on the other arguments of the call
+def test_v2_history_independence():
+    # a value depends only on (x, T_f): not on whether the grid was cached
+    # by an earlier call, nor on the other arguments of the call
     xs = np.concatenate([np.geomspace(1 / 2221, 14.4, 40), [1.0, 0.5, 8.0]])
     first = v2_many(xs, T_F)
-    _v2_piece.cache_clear()
+    weights._v2_grid.cache_clear()
     for x in xs[::-1]:
         v2_many(np.array([x]), T_F)
     for i in range(xs.size):
@@ -294,24 +295,26 @@ def _dense_trapezoid(line, L, base, c, xs):
     return dense, 1e-13 * np.sum(np.abs(w), axis=1)[:, None] * pref
 
 
-def test_fft_contour_matches_dense_sum(monkeypatch):
+def test_fft_contour_matches_dense_sum():
     # the FFT and the stencil against the dense trapezoid sum, on the lines
-    # of the (7, 1, 50) dual sum (both signs, K = 7371) and of the V2
-    # table; the difference lies within the stated interpolation error
-    # plus rounding.  With a 4-point stencil, where the stated error is
-    # the larger term, the remainder bound still holds
+    # of the (7, 1, 50) dual sum (both signs, K = 7371, a 12-point stencil)
+    # and of V2 (K = 969, 8 points); the difference lies within the stated
+    # interpolation error plus rounding, and that error within rounding.
+    # With a 4-point stencil, where the stated error is the larger term,
+    # the remainder bound still holds
     v2_line = _half_line(lambda t: weights._v2_kernel(0.5 + 1j * t, T_F)[None],
                          128.0, 969)
     cases = [(weights._psi_kernel_line(default_bump(), 0.0, T_F, 7371)[0],
-              PSI_L, math.pi ** 2, 0.0, DUAL_XS[::160]),
-             (v2_line, 128.0, math.pi, 0.5, np.geomspace(1e-6, 14.4, 97))]
-    for stencil in (12, 4):
-        monkeypatch.setattr(weights, "_STENCIL", stencil)
-        for line, L, base, c, xs in cases:
-            got, err = _interpolate(*_trapezoid_grid(line, L), L, base, c, xs)
-            want, rounding = _dense_trapezoid(line, L, base, c, xs)
+              PSI_L, math.pi ** 2, 0.0, DUAL_XS[::160], weights._STENCIL),
+             (v2_line, 128.0, math.pi, 0.5, np.geomspace(1e-6, 14.4, 97),
+              weights._V2_STENCIL)]
+    for line, L, base, c, xs, P in cases:
+        want, rounding = _dense_trapezoid(line, L, base, c, xs)
+        for stencil in (P, 4):
+            got, err = _interpolate(*_trapezoid_grid(line, L, stencil),
+                                    L, base, c, xs)
             assert np.all(np.abs(got - want) <= err + rounding)
-            if stencil == 12:
+            if stencil == P:
                 assert np.all(err <= rounding)
 
 
@@ -334,12 +337,11 @@ def test_interpolate_at_the_period_edges():
     # u = L, where u mod L = 0) within rounding
     v2_line = _half_line(lambda t: weights._v2_kernel(0.5 + 1j * t, T_F)[None],
                          128.0, 969)
-    P = weights._STENCIL
-    for line, L, base, c in (
+    for line, L, base, c, P in (
             (weights._psi_kernel_line(default_bump(), 0.0, T_F, 7371)[0],
-             PSI_L, math.pi ** 2, 0.0),
-            (v2_line, 128.0, math.pi, 0.5)):
-        win, deriv = _trapezoid_grid(line, L)
+             PSI_L, math.pi ** 2, 0.0, weights._STENCIL),
+            (v2_line, 128.0, math.pi, 0.5, weights._V2_STENCIL)):
+        win, deriv = _trapezoid_grid(line, L, P)
         assert win.shape == (line.shape[0], weights._U_FFT + P + 1, P)
         assert not win.flags.writeable
         h = L / weights._U_FFT
@@ -357,13 +359,15 @@ def test_interpolate_at_the_period_edges():
 
 def test_psi_values_do_not_depend_on_the_call():
     # every argument is read from the same cached grid: a permutation or a
-    # subset of the dual-sum arguments, before or after the cache is
-    # rebuilt, gives the values of the full call bit for bit
+    # subset of the dual-sum arguments, each of the first 400 alone among
+    # them, before or after the cache is rebuilt, gives the values of the
+    # full call bit for bit
     bump = default_bump()
     full = psi_pm_many(DUAL_XS, bump, T_F)
     order = np.random.default_rng(5).permutation(DUAL_XS.size)
     weights._psi_grid.cache_clear()
-    for sel in (order, np.arange(0, DUAL_XS.size, 7), np.arange(5000, 5100)):
+    for sel in (order, np.arange(0, DUAL_XS.size, 7), np.arange(5000, 5100),
+                *(np.arange(i, i + 1) for i in range(400))):
         for got, want in zip(psi_pm_many(DUAL_XS[sel], bump, T_F), full):
             assert np.array_equal(got, want[sel])
 
@@ -385,13 +389,14 @@ def test_half_line_matches_full_line():
     # dense trapezoid sum over the full line -K..K, with the kernel taken
     # at -t_k too, on the Psi period with two rows and the V2 period with one
     rng = np.random.default_rng(2)
-    for L, base, c, rows, xs in ((PSI_L, math.pi ** 2, 0.0, 2, DUAL_XS[::160]),
-                                 (128.0, math.pi, 0.5, 1,
-                                  np.geomspace(1e-6, 14.4, 97))):
+    for L, base, c, rows, xs, P in (
+            (PSI_L, math.pi ** 2, 0.0, 2, DUAL_XS[::160], weights._STENCIL),
+            (128.0, math.pi, 0.5, 1, np.geomspace(1e-6, 14.4, 97),
+             weights._V2_STENCIL)):
         kernel = _reflecting_kernel(rng, rows)
         K = 2000
         line = _half_line(kernel, L, K)
-        got, err = _interpolate(*_trapezoid_grid(line, L), L, base, c, xs)
+        got, err = _interpolate(*_trapezoid_grid(line, L, P), L, base, c, xs)
         t = 2 * math.pi / L * np.arange(-K, K + 1)
         w = kernel(t) / L
         u = np.log(base * xs)
@@ -424,25 +429,24 @@ def test_psi_stated_error_below_tolerance():
 
 def test_engine_refuses_a_grid_it_cannot_certify(monkeypatch):
     # a 4096-point u-grid cannot hold the Psi line's 7368 nodes, and leaves
-    # the V2 stencil a stated error of 1.6e-10; a 2-point stencil leaves
-    # both above 2e-5: psi_pm_many and a V2 table piece raise rather than
-    # return values
+    # the V2 stencil a stated error of 1.2e-7; a 2-point stencil leaves
+    # both above 1e-5: psi_pm_many and v2_many raise rather than return
+    # values
     xs = np.geomspace(0.8, 50.0, 8)
-    for name, value in (("_U_FFT", 1 << 12), ("_STENCIL", 2)):
+    for patch in ({"_U_FFT": 1 << 12}, {"_STENCIL": 2, "_V2_STENCIL": 2}):
         with monkeypatch.context() as m:
-            m.setattr(weights, name, value)
+            for name, value in patch.items():
+                m.setattr(weights, name, value)
             weights._psi_grid.cache_clear()
             weights._v2_grid.cache_clear()
-            _v2_piece.cache_clear()
             try:
                 with pytest.raises(QuadratureFailure):
                     psi_pm_many(xs, default_bump(), T_F)
                 with pytest.raises(QuadratureFailure):
-                    _v2_piece(T_F, 0)
+                    v2_many(xs, T_F)
             finally:
                 weights._psi_grid.cache_clear()
                 weights._v2_grid.cache_clear()
-                _v2_piece.cache_clear()
 
 
 def test_psi_rejects_non_finite_arguments():

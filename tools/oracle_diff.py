@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two `lmoment scan` reports, or two `lmoment voronoi` reports.
+"""Compare two `lmoment scan`, `lmoment moment` or `lmoment voronoi` reports.
 
     python tools/oracle_diff.py OLD.json NEW.json
 
@@ -8,6 +8,11 @@ Scan reports are compared row by row. The tool prints the largest
 and whether every modulus keeps the same witness set and count. They agree
 unless a ratio or L(1, f) moves by more than 1e-10, a witness set or count
 differs, or the moduli differ.
+
+Moment reports are compared as a scan of one row, and their inputs must be
+equal. err_twist and err_dirichlet are bound certificates: the tool prints
+the relative move of each, and the reports agree only if neither grows by
+more than 1e-10 relative.
 
 Voronoi reports are compared for one case. The tool prints |delta rhs|,
 |delta residual| and the relative move of each certificate. They agree when
@@ -19,7 +24,8 @@ rhs, a few 1e-12 on real data, whose last bits move with any rounding of the
 rhs; its growth is held to the absolute 1e-10 of |delta rhs|.
 
 Exits 0 when the reports agree, 1 when they differ, and 2 when a file is not
-a scan or voronoi report or the two reports are of different commands.
+a scan, moment or voronoi report or the two reports are of different
+commands.
 """
 
 from __future__ import annotations
@@ -30,15 +36,18 @@ import math
 import sys
 
 TOL = 1e-10
+COMMANDS = ("scan", "moment", "voronoi")
 VORONOI_FLAGS = ("rhs_truncation", "truncation_capped_at_reach",
                  "negative_control")
+MOMENT_BOUNDS = ("err_twist", "err_dirichlet")
 
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("command") not in ("scan", "voronoi"):
-        raise ValueError(f"{path}: not an lmoment scan or voronoi report")
+    if doc.get("command") not in COMMANDS:
+        raise ValueError(f"{path}: not an lmoment scan, moment or voronoi "
+                         "report")
     return doc
 
 
@@ -47,7 +56,7 @@ def _rows(doc: dict) -> dict:
 
 
 def compare(old: dict, new: dict) -> tuple[list[str], bool]:
-    """(report lines, agree) for two {q: row} maps."""
+    """(report lines, agree) for two {q: row} maps; no verdict line."""
     lines = []
     agree = True
     if sorted(old) != sorted(new):
@@ -86,7 +95,6 @@ def compare(old: dict, new: dict) -> tuple[list[str], bool]:
     ]
     agree = (agree and d_ratio <= TOL and d_lone <= TOL
              and not set_diff and not count_diff)
-    lines.append("verdict: " + ("agree" if agree else "DIFFER"))
     return lines, agree
 
 
@@ -96,8 +104,43 @@ def _relative_move(a: float, b: float) -> float:
     return 0.0 if b == a else math.copysign(math.inf, b - a)
 
 
+def _certificates(oc: dict, nc: dict, keys,
+                  absolute=()) -> tuple[list[str], bool]:
+    """(report lines, agree) for the certificates keys of two reports: each
+    a bound that may not grow by more than TOL relative, or by more than
+    TOL absolute for the keys in absolute."""
+    lines, agree = [], True
+    for key in keys:
+        if key not in oc or key not in nc:
+            lines.append(f"{key}: only in {'new' if key in nc else 'old'}")
+            agree = False
+            continue
+        a, b = oc[key], nc[key]
+        rel = _relative_move(a, b)
+        grew = b - a > TOL if key in absolute else rel > TOL
+        lines.append(f"{key}: {a:.6e} -> {b:.6e} (relative move {rel:+.2e})"
+                     + ("  GREW" if grew else ""))
+        agree = agree and not grew
+    return lines, agree
+
+
+def compare_moment(old: dict, new: dict) -> tuple[list[str], bool]:
+    """(report lines, agree) for two moment report documents; no verdict
+    line."""
+    oo, no = old["outputs"], new["outputs"]
+    same_inputs = old["inputs"] == new["inputs"]
+    lines = [] if same_inputs else [
+        f"inputs differ: {old['inputs']} -> {new['inputs']}"]
+    row_lines, rows_agree = compare({oo["q"]: oo}, {no["q"]: no})
+    cert_lines, certs_agree = _certificates(
+        old["certificates"], new["certificates"], MOMENT_BOUNDS)
+    return (lines + row_lines + cert_lines,
+            same_inputs and rows_agree and certs_agree)
+
+
 def compare_voronoi(old: dict, new: dict) -> tuple[list[str], bool]:
-    """(report lines, agree) for two voronoi report documents."""
+    """(report lines, agree) for two voronoi report documents; no verdict
+    line."""
     oo, no = old["outputs"], new["outputs"]
     agree = old["inputs"] == new["inputs"]
     lines = [f"case: q={oo['q']} d={oo['d']} N={oo['N']}"
@@ -113,19 +156,9 @@ def compare_voronoi(old: dict, new: dict) -> tuple[list[str], bool]:
                      + ("" if same else "  DIFFER"))
         agree = agree and same
     oc, nc = old["certificates"], new["certificates"]
-    for key in sorted(set(oc) | set(nc)):
-        if key not in oc or key not in nc:
-            lines.append(f"{key}: only in {'new' if key in nc else 'old'}")
-            agree = False
-            continue
-        a, b = oc[key], nc[key]
-        rel = _relative_move(a, b)
-        grew = b - a > TOL if key == "doubling_delta" else rel > TOL
-        lines.append(f"{key}: {a:.6e} -> {b:.6e} (relative move {rel:+.2e})"
-                     + ("  GREW" if grew else ""))
-        agree = agree and not grew
-    lines.append("verdict: " + ("agree" if agree else "DIFFER"))
-    return lines, agree
+    cert_lines, certs_agree = _certificates(
+        oc, nc, sorted(set(oc) | set(nc)), absolute=("doubling_delta",))
+    return lines + cert_lines, agree and certs_agree
 
 
 def main(argv=None) -> int:
@@ -143,8 +176,11 @@ def main(argv=None) -> int:
         return 2
     if old["command"] == "scan":
         lines, agree = compare(_rows(old), _rows(new))
+    elif old["command"] == "moment":
+        lines, agree = compare_moment(old, new)
     else:
         lines, agree = compare_voronoi(old, new)
+    lines.append("verdict: " + ("agree" if agree else "DIFFER"))
     print("\n".join(lines))
     return 0 if agree else 1
 

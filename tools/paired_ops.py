@@ -8,7 +8,7 @@ One worker process per checkout imports that checkout's src/lmoment, loads
 its data/maass_even_13p77.txt and pays the workload's set-up: L(1, f) for
 the scans, both Psi decay ladders for voronoi. It then runs one untimed
 round of the workload's inputs, which builds the per-form caches (the V2
-table, the Psi grid). Each pass runs one block of K timed ops on each
+and Psi grids). Each pass runs one block of K timed ops on each
 worker, one worker at a time; the parent goes first on even passes and the
 change on odd ones. Both workers run the same inputs in a pass, drawn from
 a fixed seed:
